@@ -4,20 +4,65 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <set>
 
 #include "common/logging.h"
 
 namespace capd {
+namespace {
+
+// One index's budget charge: clustered indexes replace the heap, so they
+// are charged (size - heap size). Both ChargedBytes overloads add through
+// here, so they sum the same double operations in the same order.
+void AddCharge(const Database& db, const PhysicalIndexEstimate& idx,
+               double* charged) {
+  *charged += idx.bytes;
+  if (idx.def.clustered && db.HasTable(idx.def.object)) {
+    *charged -= static_cast<double>(db.table(idx.def.object).HeapBytes());
+  }
+}
+
+// True if candidate `id` may join `members`. No member may share its
+// structure — that also rules out the index itself, and the same structure
+// with another compression is a competing index: physically legal but
+// never useful beside its sibling for our optimizer, and it bloats
+// enumeration. At most one clustered index per object.
+bool CanJoin(const CandidatePool& pool, const std::vector<uint32_t>& members,
+             uint32_t id) {
+  const CandidatePool::Entry& cand = pool[id];
+  for (const uint32_t m : members) {
+    const CandidatePool::Entry& member = pool[m];
+    if (member.structure == cand.structure) return false;
+    if (cand.est.def.clustered && member.est.def.clustered &&
+        member.est.def.object == cand.est.def.object) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Appends `id`; a configuration never holds one index twice.
+void AddMember(const CandidatePool& pool, uint32_t id,
+               std::vector<uint32_t>* members) {
+  CAPD_CHECK(std::find(members->begin(), members->end(), id) ==
+             members->end())
+      << "duplicate index in configuration: " << pool[id].est.def.ToString();
+  members->push_back(id);
+}
+
+}  // namespace
 
 double Advisor::ChargedBytes(const Configuration& config) const {
   double charged = 0.0;
   for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    charged += idx.bytes;
-    if (idx.def.clustered && db_->HasTable(idx.def.object)) {
-      charged -= static_cast<double>(db_->table(idx.def.object).HeapBytes());
-    }
+    AddCharge(*db_, idx, &charged);
   }
+  return charged;
+}
+
+double Advisor::ChargedBytes(const CandidatePool& pool,
+                             const std::vector<uint32_t>& members) const {
+  double charged = 0.0;
+  for (const uint32_t id : members) AddCharge(*db_, pool[id].est, &charged);
   return charged;
 }
 
@@ -43,7 +88,8 @@ void Advisor::ReportProgress(const char* phase) const {
 }
 
 double Advisor::WorkloadCost(const Workload& workload,
-                             const Configuration& config,
+                             const CandidatePool& pool,
+                             const std::vector<uint32_t>& members,
                              StatementCostCache* cost_cache,
                              AdvisorResult* result) const {
   if (result != nullptr) {
@@ -54,8 +100,8 @@ double Advisor::WorkloadCost(const Workload& workload,
       result->stmt_costs_computed += workload.statements.size();
     }
   }
-  if (cost_cache != nullptr) return cost_cache->WorkloadCost(config);
-  return optimizer_->WorkloadCost(workload, config);
+  if (cost_cache != nullptr) return cost_cache->WorkloadCost(pool, members);
+  return optimizer_->WorkloadCost(workload, pool.Materialize(members));
 }
 
 double Advisor::PooledWorkloadCost(const Workload& workload,
@@ -80,19 +126,6 @@ double Advisor::PooledWorkloadCost(const Workload& workload,
     total += workload.statements[i].weight * costs[i];
   }
   return total;
-}
-
-bool Advisor::CanAdd(const Configuration& config, const IndexDef& def) const {
-  if (config.Contains(def.Signature())) return false;
-  // At most one clustered index per object.
-  if (def.clustered && config.HasClusteredOn(def.object)) return false;
-  // The same structure with a different compression is a competing index:
-  // physically legal but never useful together with its sibling for our
-  // optimizer, and it bloats enumeration, so forbid duplicates.
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    if (idx.def.StructureSignature() == def.StructureSignature()) return false;
-  }
-  return true;
 }
 
 std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
@@ -140,12 +173,12 @@ std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
   return sizes;
 }
 
-std::vector<IndexDef> Advisor::SelectCandidates(
-    const Workload& workload, const std::vector<IndexDef>& candidates,
-    const std::map<std::string, PhysicalIndexEstimate>& sizes,
-    StatementCostCache* cost_cache, AdvisorResult* result) const {
-  std::vector<IndexDef> selected;
-  std::set<std::string> kept;
+std::vector<uint32_t> Advisor::SelectCandidates(
+    const Workload& workload, const CandidatePool& pool,
+    const std::vector<uint32_t>& candidates, StatementCostCache* cost_cache,
+    AdvisorResult* result) const {
+  std::vector<uint32_t> selected;
+  std::vector<char> kept(pool.size());
 
   // Every costing the loop below needs is independent: per SELECT query,
   // its base (empty-configuration) cost plus one single-index cost per
@@ -162,10 +195,12 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   }
   const size_t stride = 1 + candidates.size();  // base cost + one per index
 
-  auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
+  auto stmt_cost = [&](size_t stmt_index,
+                       const std::vector<uint32_t>& members) {
     return cost_cache != nullptr
-               ? cost_cache->Cost(stmt_index, config)
-               : optimizer_->Cost(workload.statements[stmt_index], config);
+               ? cost_cache->Cost(stmt_index, pool, members)
+               : optimizer_->Cost(workload.statements[stmt_index],
+                                  pool.Materialize(members));
   };
   const std::vector<double> costs =
       ParallelMap<double>(Pool(), selects.size() * stride, [&](size_t j) {
@@ -176,12 +211,8 @@ std::vector<IndexDef> Advisor::SelectCandidates(
         if (CancelRequested()) return 0.0;
         const size_t si = selects[j / stride];
         const size_t c = j % stride;
-        if (c == 0) return stmt_cost(si, Configuration());
-        const auto it = sizes.find(candidates[c - 1].Signature());
-        CAPD_CHECK(it != sizes.end());
-        Configuration config;
-        config.Add(it->second);
-        return stmt_cost(si, config);
+        if (c == 0) return stmt_cost(si, {});
+        return stmt_cost(si, {candidates[c - 1]});
       });
   if (result != nullptr) {
     result->what_if_calls += selects.size() * candidates.size();
@@ -190,43 +221,42 @@ std::vector<IndexDef> Advisor::SelectCandidates(
     }
   }
 
+  auto keep = [&](uint32_t id) {
+    if (kept[id]) return;
+    kept[id] = 1;
+    selected.push_back(id);
+  };
   for (size_t q = 0; q < selects.size(); ++q) {
     // Serial reduction over this query's precomputed costs.
     struct Entry {
-      const IndexDef* def;
+      uint32_t id;
       double cost;
       double bytes;
     };
     std::vector<Entry> entries;
     const double base_cost = costs[q * stride];
     for (size_t c = 0; c < candidates.size(); ++c) {
-      const IndexDef& def = candidates[c];
       const double cost = costs[q * stride + 1 + c];
       if (cost >= base_cost) continue;  // irrelevant to this query
       // Size dimension of the skyline is the *budget charge*: a clustered
       // index replaces the heap, so its effective footprint can be tiny (or
       // negative when compressed) even though the structure is large.
-      Configuration config;
-      config.Add(sizes.at(def.Signature()));
-      entries.push_back(Entry{&def, cost, ChargedBytes(config)});
+      entries.push_back(
+          Entry{candidates[c], cost, ChargedBytes(pool, {candidates[c]})});
     }
 
     if (options_.selection == CandidateSelectionMode::kTopK) {
       std::sort(entries.begin(), entries.end(),
                 [](const Entry& a, const Entry& b) { return a.cost < b.cost; });
       const size_t k = std::min<size_t>(options_.top_k, entries.size());
-      for (size_t i = 0; i < k; ++i) {
-        if (kept.insert(entries[i].def->Signature()).second) {
-          selected.push_back(*entries[i].def);
-        }
-      }
+      for (size_t i = 0; i < k; ++i) keep(entries[i].id);
     } else {
       // Skyline of (bytes, cost): keep entries no other entry dominates
       // (smaller AND faster). O(n^2), negligible next to what-if calls.
       for (const Entry& e : entries) {
         bool dominated = false;
         for (const Entry& o : entries) {
-          if (o.def == e.def) continue;
+          if (o.id == e.id) continue;
           const bool better_or_equal = o.cost <= e.cost && o.bytes <= e.bytes;
           const bool strictly_better = o.cost < e.cost || o.bytes < e.bytes;
           if (better_or_equal && strictly_better) {
@@ -234,35 +264,25 @@ std::vector<IndexDef> Advisor::SelectCandidates(
             break;
           }
         }
-        if (!dominated && kept.insert(e.def->Signature()).second) {
-          selected.push_back(*e.def);
-        }
+        if (!dominated) keep(e.id);
       }
     }
   }
   return selected;
 }
 
-Configuration Advisor::Enumerate(
-    const Workload& workload, const std::vector<IndexDef>& pool,
-    const std::map<std::string, PhysicalIndexEstimate>& sizes,
-    double budget_bytes, StatementCostCache* cost_cache,
-    AdvisorResult* result) const {
-  Configuration config;
-  double current_cost = WorkloadCost(workload, config, cost_cache, result);
-
-  auto size_of = [&sizes](const IndexDef& def) -> const PhysicalIndexEstimate& {
-    const auto it = sizes.find(def.Signature());
-    CAPD_CHECK(it != sizes.end()) << def.ToString();
-    return it->second;
-  };
+std::vector<uint32_t> Advisor::Enumerate(
+    const Workload& workload, const CandidatePool& pool,
+    const std::vector<uint32_t>& candidates, double budget_bytes,
+    StatementCostCache* cost_cache, AdvisorResult* result) const {
+  std::vector<uint32_t> config;  // member ids, in configuration order
+  double current_cost = WorkloadCost(workload, pool, config, cost_cache, result);
 
   // Trial costing, callable from pool workers (the cache and the optimizer
-  // are both thread-safe). what_if accounting happens serially afterwards
-  // so AdvisorResult is never touched concurrently.
-  auto trial_cost = [&](const Configuration& trial) {
-    return cost_cache != nullptr ? cost_cache->WorkloadCost(trial)
-                                 : optimizer_->WorkloadCost(workload, trial);
+  // are both thread-safe). what_if accounting happens serially after each
+  // fan-out so AdvisorResult is never touched concurrently.
+  auto trial_cost = [&](const std::vector<uint32_t>& members) {
+    return WorkloadCost(workload, pool, members, cost_cache, nullptr);
   };
   auto charge_calls = [&](size_t trials) {
     if (result == nullptr) return;
@@ -271,6 +291,11 @@ Configuration Advisor::Enumerate(
       result->stmt_costs_computed += trials * workload.statements.size();
     }
   };
+  auto with = [&pool](std::vector<uint32_t> members, uint32_t id) {
+    AddMember(pool, id, &members);
+    return members;
+  };
+  auto bytes_of = [&pool](uint32_t id) { return pool[id].est.bytes; };
   ThreadPool* workers = Pool();
 
   while (true) {
@@ -284,10 +309,10 @@ Configuration Advisor::Enumerate(
     // they fan out across the pool; the reduction below walks them in pool
     // order with the same comparisons as the serial loop, which makes the
     // parallel result bit-identical at any thread count.
-    std::vector<size_t> addable;
-    addable.reserve(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (CanAdd(config, pool[i])) addable.push_back(i);
+    std::vector<uint32_t> addable;
+    addable.reserve(candidates.size());
+    for (const uint32_t id : candidates) {
+      if (CanJoin(pool, config, id)) addable.push_back(id);
     }
     const std::vector<double> trial_costs =
         ParallelMap<double>(workers, addable.size(), [&](size_t k) {
@@ -297,9 +322,7 @@ Configuration Advisor::Enumerate(
           if (CancelRequested()) {
             return std::numeric_limits<double>::infinity();
           }
-          Configuration trial = config;
-          trial.Add(size_of(pool[addable[k]]));
-          return trial_cost(trial);
+          return trial_cost(with(config, addable[k]));
         });
     charge_calls(addable.size());
 
@@ -310,33 +333,31 @@ Configuration Advisor::Enumerate(
     double best_any_benefit = 0.0;
 
     for (size_t k = 0; k < addable.size(); ++k) {
-      const size_t i = addable[k];
-      const IndexDef& def = pool[i];
+      const uint32_t id = addable[k];
       const double cost = trial_costs[k];
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
-      Configuration trial = config;
-      trial.Add(size_of(def));
-      const bool fits = ChargedBytes(trial) <= budget_bytes;
+      const bool fits = ChargedBytes(pool, with(config, id)) <= budget_bytes;
       const double score =
           options_.enumeration == EnumerationMode::kDensityGreedy
-              ? benefit / std::max(1.0, size_of(def).bytes)
+              ? benefit / std::max(1.0, bytes_of(id))
               : benefit;
       if (fits && score > best_fit_score) {
         best_fit_score = score;
-        best_fit = static_cast<int>(i);
+        best_fit = static_cast<int>(id);
         best_fit_cost = cost;
       }
       if (benefit > best_any_benefit) {
         best_any_benefit = benefit;
-        best_any = static_cast<int>(i);
+        best_any = static_cast<int>(id);
       }
     }
 
     if (options_.trace) {
-      std::fprintf(stderr, "[enum] step: best_fit=%s best_any=%s\n",
-                   best_fit >= 0 ? pool[best_fit].ToString().c_str() : "-",
-                   best_any >= 0 ? pool[best_any].ToString().c_str() : "-");
+      std::fprintf(
+          stderr, "[enum] step: best_fit=%s best_any=%s\n",
+          best_fit >= 0 ? pool[best_fit].est.def.ToString().c_str() : "-",
+          best_any >= 0 ? pool[best_any].est.def.ToString().c_str() : "-");
     }
 
     // Backtracking (Section 6.2): if the overall-best choice is oversized,
@@ -345,39 +366,36 @@ Configuration Advisor::Enumerate(
     // prefer a swap that fits immediately with the best workload cost,
     // otherwise the one freeing the most space (to converge).
     if (options_.backtracking && best_any >= 0 && best_any != best_fit) {
-      Configuration oversized = config;
-      oversized.Add(size_of(pool[best_any]));
-      if (ChargedBytes(oversized) > budget_bytes) {
-        Configuration best_recovered;
+      const std::vector<uint32_t> oversized = with(config, best_any);
+      if (ChargedBytes(pool, oversized) > budget_bytes) {
+        std::vector<uint32_t> best_recovered;
         double best_recovered_cost = std::numeric_limits<double>::infinity();
-        Configuration work = oversized;
+        std::vector<uint32_t> work = oversized;
         for (int round = 0; round < 8; ++round) {
-          // Viable swaps are gathered serially (cheap size/signature
+          // Viable swaps are gathered serially (cheap size/structure
           // checks), the in-budget ones are what-if costed across the
           // pool, and the winner is reduced in (member, replacement) scan
-          // order — the exact tie-breaking of the serial loop.
-          std::vector<Configuration> fit_swaps;
-          int reduce_member = -1, reduce_repl = -1;
+          // order — the exact tie-breaking of the serial loop. A swap
+          // removes the member and appends its replacement.
+          std::vector<std::vector<uint32_t>> fit_swaps;
+          int reduce_member = -1;
+          uint32_t reduce_repl = 0;
           double reduce_amount = 0.0;
-          const auto& members = work.indexes();
-          for (int m = 0; m < static_cast<int>(members.size()); ++m) {
-            const PhysicalIndexEstimate& member = members[m];
-            for (int p = 0; p < static_cast<int>(pool.size()); ++p) {
-              const IndexDef& repl = pool[p];
-              if (repl.StructureSignature() != member.def.StructureSignature())
-                continue;
-              if (repl.Signature() == member.def.Signature()) continue;
-              const PhysicalIndexEstimate& repl_est = size_of(repl);
-              if (repl_est.bytes >= member.bytes) continue;
-              Configuration trial = work;
-              CAPD_CHECK(trial.Remove(member.def.Signature()));
-              trial.Add(repl_est);
-              if (ChargedBytes(trial) <= budget_bytes) {
+          for (int m = 0; m < static_cast<int>(work.size()); ++m) {
+            const CandidatePool::Entry& member = pool[work[m]];
+            for (const uint32_t repl : candidates) {
+              if (pool[repl].structure != member.structure) continue;
+              if (repl == work[m]) continue;
+              if (bytes_of(repl) >= member.est.bytes) continue;
+              std::vector<uint32_t> trial = work;
+              trial.erase(trial.begin() + m);
+              AddMember(pool, repl, &trial);
+              if (ChargedBytes(pool, trial) <= budget_bytes) {
                 fit_swaps.push_back(std::move(trial));
-              } else if (member.bytes - repl_est.bytes > reduce_amount) {
-                reduce_amount = member.bytes - repl_est.bytes;
+              } else if (member.est.bytes - bytes_of(repl) > reduce_amount) {
+                reduce_amount = member.est.bytes - bytes_of(repl);
                 reduce_member = m;
-                reduce_repl = p;
+                reduce_repl = repl;
               }
             }
           }
@@ -407,18 +425,19 @@ Configuration Advisor::Enumerate(
             break;
           }
           if (reduce_member < 0) break;  // no further swaps possible
-          const std::string gone = members[reduce_member].def.Signature();
-          work.Remove(gone);
-          work.Add(size_of(pool[reduce_repl]));
+          work.erase(work.begin() + reduce_member);
+          AddMember(pool, reduce_repl, &work);
         }
         if (options_.trace) {
           std::fprintf(stderr, "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f cur=%.1f\n",
-                       best_recovered.size() > 0 ? best_recovered.ToString().c_str() : "-",
+                       !best_recovered.empty()
+                           ? pool.Materialize(best_recovered).ToString().c_str()
+                           : "-",
                        best_recovered_cost, best_fit_cost, current_cost);
         }
-        if (best_recovered.size() > 0 &&
+        if (!best_recovered.empty() &&
             best_recovered_cost < std::min(best_fit_cost, current_cost)) {
-          config = best_recovered;
+          config = std::move(best_recovered);
           current_cost = best_recovered_cost;
           continue;
         }
@@ -426,7 +445,7 @@ Configuration Advisor::Enumerate(
     }
 
     if (best_fit < 0) break;
-    config.Add(size_of(pool[best_fit]));
+    AddMember(pool, best_fit, &config);
     current_cost = best_fit_cost;
   }
   return config;
@@ -472,10 +491,17 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
         std::make_unique<StatementCostCache>(*db_, *optimizer_, workload);
   }
 
-  // 3. Per-query candidate selection (top-k or skyline).
+  // 3. Per-query candidate selection (top-k or skyline), over the
+  // candidates interned once: from here on the search speaks pool ids.
   t0 = Clock::now();
-  std::vector<IndexDef> selected =
-      SelectCandidates(workload, candidates, sizes, cost_cache.get(), &result);
+  CandidatePool pool(cost_cache.get());
+  std::vector<uint32_t> ids;
+  ids.reserve(candidates.size());
+  for (const IndexDef& def : candidates) {
+    ids.push_back(pool.Add(sizes.at(def.Signature())));
+  }
+  std::vector<uint32_t> selected =
+      SelectCandidates(workload, pool, ids, cost_cache.get(), &result);
   result.selection_ms += millis_since(t0);
   ReportProgress("selection");
   if (cancelled()) {
@@ -488,7 +514,12 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
 
   // 4. Index merging over the selected pool.
   if (options_.enable_merging) {
-    std::vector<IndexDef> merged = generator.MergeCandidates(selected);
+    std::vector<IndexDef> selected_defs;
+    selected_defs.reserve(selected.size());
+    for (const uint32_t id : selected) {
+      selected_defs.push_back(pool[id].est.def);
+    }
+    std::vector<IndexDef> merged = generator.MergeCandidates(selected_defs);
     if (!merged.empty()) {
       t0 = Clock::now();
       const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
@@ -497,16 +528,18 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
       // A cancel inside the merged batch leaves merged_sizes short; merged
       // candidates are only admitted when every one of them was sized.
       if (!CancelRequested()) {
-        for (const IndexDef& def : merged) selected.push_back(def);
-        for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
+        for (const IndexDef& def : merged) {
+          selected.push_back(pool.Add(merged_sizes.at(def.Signature())));
+        }
       }
     }
   }
   result.num_candidates = selected.size();
   if (options_.trace) {
-    for (const IndexDef& def : selected) {
-      std::fprintf(stderr, "[pool] %s ~%.0fKB\n", def.ToString().c_str(),
-                   sizes.at(def.Signature()).bytes / 1024.0);
+    for (const uint32_t id : selected) {
+      std::fprintf(stderr, "[pool] %s ~%.0fKB\n",
+                   pool[id].est.def.ToString().c_str(),
+                   pool[id].est.bytes / 1024.0);
     }
   }
   ReportProgress("merging");
@@ -522,12 +555,13 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // a cancelled result carries real initial/final costs for its partial
   // configuration.
   t0 = Clock::now();
-  const Configuration empty;
-  result.initial_cost = WorkloadCost(workload, empty, cost_cache.get(), &result);
-  result.config = Enumerate(workload, selected, sizes, budget_bytes,
-                            cost_cache.get(), &result);
+  result.initial_cost =
+      WorkloadCost(workload, pool, {}, cost_cache.get(), &result);
+  const std::vector<uint32_t> design = Enumerate(
+      workload, pool, selected, budget_bytes, cost_cache.get(), &result);
   result.final_cost =
-      WorkloadCost(workload, result.config, cost_cache.get(), &result);
+      WorkloadCost(workload, pool, design, cost_cache.get(), &result);
+  result.config = pool.Materialize(design);
   result.charged_bytes = ChargedBytes(result.config);
   result.enumeration_ms += millis_since(t0);
   ReportProgress("enumeration");

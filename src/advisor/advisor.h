@@ -5,6 +5,7 @@
 #ifndef CAPD_ADVISOR_ADVISOR_H_
 #define CAPD_ADVISOR_ADVISOR_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +15,7 @@
 #include "advisor/candidates.h"
 #include "common/thread_pool.h"
 #include "estimator/size_estimator.h"
+#include "optimizer/candidate_pool.h"
 #include "optimizer/cost_cache.h"
 #include "optimizer/what_if.h"
 
@@ -91,30 +93,41 @@ class Advisor {
       const std::vector<IndexDef>& candidates, AdvisorResult* result);
 
   // Per-query candidate selection: keep candidates that appear in the
-  // query's top-k configurations or on its size/cost skyline. The
-  // single-index costings go through `cost_cache` (may be null), where
-  // they double as warm-up for the first enumeration step; they fan out
-  // over Pool() and are reduced serially in (query, candidate) order, so
-  // the selected pool is bit-identical at any thread count. Public for
-  // tests and tooling.
-  std::vector<IndexDef> SelectCandidates(
-      const Workload& workload, const std::vector<IndexDef>& candidates,
-      const std::map<std::string, PhysicalIndexEstimate>& sizes,
-      StatementCostCache* cost_cache, AdvisorResult* result) const;
-
- private:
-  // Greedy enumeration with optional backtracking. `cost_cache` may be
-  // null (uncached costing); trial evaluations run on Pool() when the
-  // options enable enumeration threads.
-  Configuration Enumerate(
-      const Workload& workload, const std::vector<IndexDef>& pool,
-      const std::map<std::string, PhysicalIndexEstimate>& sizes,
-      double budget_bytes, StatementCostCache* cost_cache,
+  // query's top-k configurations or on its size/cost skyline. `candidates`
+  // are ids into `pool`; the selected ids come back in first-kept order.
+  // The single-index costings go through `cost_cache` (may be null; when
+  // set, `pool` must be interned with it), where they double as warm-up for
+  // the first enumeration step; they fan out over Pool() and are reduced
+  // serially in (query, candidate) order, so the selected pool is
+  // bit-identical at any thread count. Public for tests and tooling.
+  std::vector<uint32_t> SelectCandidates(
+      const Workload& workload, const CandidatePool& pool,
+      const std::vector<uint32_t>& candidates, StatementCostCache* cost_cache,
       AdvisorResult* result) const;
 
-  double WorkloadCost(const Workload& workload, const Configuration& config,
+ private:
+  // Greedy enumeration with optional backtracking over the `candidates` ids
+  // of `pool`; returns the chosen member ids in configuration order.
+  // `cost_cache` may be null (uncached costing); trial evaluations run on
+  // Pool() when the options enable enumeration threads.
+  std::vector<uint32_t> Enumerate(const Workload& workload,
+                                  const CandidatePool& pool,
+                                  const std::vector<uint32_t>& candidates,
+                                  double budget_bytes,
+                                  StatementCostCache* cost_cache,
+                                  AdvisorResult* result) const;
+
+  // Workload cost of the configuration of `members`; with a `result`, also
+  // its what-if accounting (pool workers pass null).
+  double WorkloadCost(const Workload& workload, const CandidatePool& pool,
+                      const std::vector<uint32_t>& members,
                       StatementCostCache* cost_cache,
                       AdvisorResult* result) const;
+
+  // ChargedBytes of the configuration of `members`, summed in member order
+  // (bit-identical to ChargedBytes(pool.Materialize(members))).
+  double ChargedBytes(const CandidatePool& pool,
+                      const std::vector<uint32_t>& members) const;
 
   // Uncached workload costing with the per-statement optimizer calls
   // fanned across Pool(); the weighted sum is reduced in statement order,
@@ -122,8 +135,6 @@ class Advisor {
   double PooledWorkloadCost(const Workload& workload,
                             const Configuration& config,
                             AdvisorResult* result) const;
-
-  bool CanAdd(const Configuration& config, const IndexDef& def) const;
 
   // Enumeration thread pool: options_.pool when set, otherwise created on
   // first use and reused across rounds; null when options_.num_threads == 1.

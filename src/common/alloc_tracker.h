@@ -4,12 +4,16 @@
 // live bytes (via glibc's malloc_usable_size, so sizes reflect what the
 // allocator actually handed out).
 //
-// Linking: capd_core is a static library, so the replacement operators are
-// pulled into a binary only when that binary references a symbol from the
-// tracker's translation unit — i.e. calling any accessor below activates
-// tracking for the whole binary. Binaries that never call them keep the
-// default allocator. Used by tests/scale_test.cc (O(sample) memory budget)
-// and the allocs_per_row counters in bench_micro_codecs/bench_scale_sweep.
+// Linking: the replacement operator new is defined in this translation
+// unit of the static capd_core, and the linker reads capd_core before
+// libstdc++. So every binary that links capd_core and allocates gets the
+// tracker, whether or not it calls an accessor below: `nm` finds
+// capd::AllocCount in capd_tune, for example. Every allocation then pays
+// for the global atomic counters, which is expensive under concurrency;
+// perfbench/README.md measures it and links its untraced binary without
+// this file. Read by tests/scale_test.cc (O(sample) memory budget), the
+// allocs_per_row counters in bench_micro_codecs/bench_scale_sweep and the
+// perfbench traced run.
 #ifndef CAPD_COMMON_ALLOC_TRACKER_H_
 #define CAPD_COMMON_ALLOC_TRACKER_H_
 

@@ -27,29 +27,12 @@ bool ColumnFilter::Matches(const Row& row, const Schema& schema) const {
 }
 
 std::string ColumnFilter::ToString() const {
-  std::ostringstream os;
-  os << column;
-  switch (op) {
-    case FilterOp::kEq:
-      os << "=" << lo.ToString();
-      break;
-    case FilterOp::kLt:
-      os << "<" << lo.ToString();
-      break;
-    case FilterOp::kLe:
-      os << "<=" << lo.ToString();
-      break;
-    case FilterOp::kGt:
-      os << ">" << lo.ToString();
-      break;
-    case FilterOp::kGe:
-      os << ">=" << lo.ToString();
-      break;
-    case FilterOp::kBetween:
-      os << " BETWEEN " << lo.ToString() << " AND " << hi.ToString();
-      break;
-  }
-  return os.str();
+  static const char* const kOpText[] = {"=", "<", "<=", ">", ">=",
+                                        " BETWEEN "};  // by FilterOp
+  static_assert(static_cast<int>(FilterOp::kBetween) == 5, "kOpText order");
+  std::string out = column + kOpText[static_cast<int>(op)] + lo.ToString();
+  if (op == FilterOp::kBetween) out += " AND " + hi.ToString();
+  return out;
 }
 
 std::vector<std::string> IndexDef::StoredColumns(
@@ -77,28 +60,28 @@ IndexDef IndexDef::WithCompression(CompressionKind kind) const {
   return copy;
 }
 
+// Signature bytes are frozen: they key the estimation cache and appear in
+// goldens (tests/index_test.cc pins them).
 std::string IndexDef::StructureSignature() const {
-  std::ostringstream os;
-  os << object << (clustered ? "|C|" : "|N|");
-  for (const std::string& c : key_columns) os << c << ",";
-  os << "|";
-  for (const std::string& c : include_columns) os << c << ",";
-  if (filter.has_value()) os << "|F:" << filter->ToString();
-  return os.str();
+  std::string out = object + (clustered ? "|C|" : "|N|");
+  for (const std::string& c : key_columns) out.append(c) += ',';
+  out += '|';
+  for (const std::string& c : include_columns) out.append(c) += ',';
+  if (filter.has_value()) out += "|F:" + filter->ToString();
+  return out;
 }
 
 std::string IndexDef::Signature() const {
-  return StructureSignature() + "|" + CompressionKindName(compression);
+  return StructureSignature() + '|' + CompressionKindName(compression);
 }
 
 std::string IndexDef::ColumnSetSignature(const Schema& base_schema) const {
   std::vector<std::string> cols = StoredColumns(base_schema);
   std::sort(cols.begin(), cols.end());
-  std::ostringstream os;
-  os << object << (clustered ? "|C|" : "|N|");
-  for (const std::string& c : cols) os << c << ",";
-  if (filter.has_value()) os << "|F:" << filter->ToString();
-  return os.str();
+  std::string out = object + (clustered ? "|C|" : "|N|");
+  for (const std::string& c : cols) out.append(c) += ',';
+  if (filter.has_value()) out += "|F:" + filter->ToString();
+  return out;
 }
 
 std::string IndexDef::ToString() const {

@@ -12,16 +12,6 @@ void Configuration::Add(PhysicalIndexEstimate idx) {
   indexes_.push_back(std::move(idx));
 }
 
-bool Configuration::Remove(const std::string& signature) {
-  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
-    if (it->def.Signature() == signature) {
-      indexes_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Configuration::Contains(const std::string& signature) const {
   for (const PhysicalIndexEstimate& idx : indexes_) {
     if (idx.def.Signature() == signature) return true;

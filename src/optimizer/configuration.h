@@ -26,8 +26,6 @@ class Configuration {
   Configuration() = default;
 
   void Add(PhysicalIndexEstimate idx);
-  // Removes the index with this signature; returns true if present.
-  bool Remove(const std::string& signature);
   bool Contains(const std::string& signature) const;
 
   const std::vector<PhysicalIndexEstimate>& indexes() const { return indexes_; }
@@ -42,6 +40,9 @@ class Configuration {
   std::string ToString() const;
 
  private:
+  // Materializes id-checked member vectors without Add's signature check.
+  friend class CandidatePool;
+
   std::vector<PhysicalIndexEstimate> indexes_;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace capd {
 namespace {
 
@@ -117,83 +119,65 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
       [&stored](const std::string& c) { return Contains(stored, c); });
 }
 
-const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(
-    const IndexDef& idx) {
-  const std::string signature = idx.Signature();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_info_.find(signature);
-    // References into the node-based map stay valid across later inserts.
-    if (it != index_info_.end()) return it->second;
+std::vector<char> StatementCostCache::RelevanceOf(const IndexDef& idx) const {
+  std::vector<char> relevant(scopes_.size());
+  for (size_t i = 0; i < scopes_.size(); ++i) {
+    relevant[i] = ComputeRelevant(i, idx) ? 1 : 0;
   }
-  IndexInfo info;
-  info.relevant.resize(workload_->statements.size());
-  for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    info.relevant[i] = ComputeRelevant(i, idx) ? 1 : 0;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  // First inserter wins the id; a concurrent compute produced the same
-  // bitmap, so either copy is fine. Ids are only unique labels within this
-  // cache instance — cost values never depend on their numeric order.
-  const auto [it, inserted] = index_info_.emplace(signature, std::move(info));
-  if (inserted) it->second.id = static_cast<uint32_t>(index_info_.size());
-  return it->second;
+  return relevant;
 }
 
-bool StatementCostCache::Relevant(size_t stmt_index, const IndexDef& idx) {
-  return InfoFor(idx).relevant[stmt_index] != 0;
-}
-
-double StatementCostCache::CostWithInfos(
-    size_t stmt_index, const Configuration& config,
-    const std::vector<const IndexInfo*>& infos) {
+double StatementCostCache::StatementCost(
+    size_t stmt_index, const CandidatePool& pool,
+    const std::vector<uint32_t>& members, std::string* key,
+    std::optional<Configuration>* config) {
   // The cost of a statement is a function of the *ordered subsequence* of
   // relevant indexes (best-path ties and floating-point sums follow
   // configuration order), so the key preserves that order — never sorts.
   // The statement index itself is the shard, so it never enters the key.
-  std::string key;
-  key.reserve(4 * infos.size());
-  for (const IndexInfo* info : infos) {
-    if (info->relevant[stmt_index]) AppendU32(&key, info->id);
+  key->clear();
+  for (const uint32_t id : members) {
+    if (pool[id].relevant[stmt_index]) AppendU32(key, id);
   }
   Shard& shard = shards_[stmt_index];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.costs.find(key);
+    const auto it = shard.costs.find(*key);
     if (it != shard.costs.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
+  if (!config->has_value()) *config = pool.Materialize(members);
   const double cost =
-      optimizer_->Cost(workload_->statements[stmt_index], config);
-  misses_.fetch_add(1, std::memory_order_relaxed);
+      optimizer_->Cost(workload_->statements[stmt_index], **config);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.costs.emplace(std::move(key), cost);
+  // A racing thread may have inserted the key meanwhile; only the winning
+  // insert counts as computed, so the counters are a function of the
+  // requested keys alone.
+  const bool inserted = shard.costs.emplace(*key, cost).second;
+  (inserted ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
   return cost;
 }
 
-double StatementCostCache::Cost(size_t stmt_index,
-                                const Configuration& config) {
-  std::vector<const IndexInfo*> infos;
-  infos.reserve(config.indexes().size());
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    infos.push_back(&InfoFor(idx.def));
-  }
-  return CostWithInfos(stmt_index, config, infos);
+double StatementCostCache::Cost(size_t stmt_index, const CandidatePool& pool,
+                                const std::vector<uint32_t>& members) {
+  CAPD_CHECK(pool.cache() == this) << "pool interned without this cache";
+  std::string key;
+  std::optional<Configuration> config;
+  return StatementCost(stmt_index, pool, members, &key, &config);
 }
 
-double StatementCostCache::WorkloadCost(const Configuration& config) {
-  // Signatures are rendered (and relevance computed) once per call, not
-  // once per statement — the dominant key-building cost.
-  std::vector<const IndexInfo*> infos;
-  infos.reserve(config.indexes().size());
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    infos.push_back(&InfoFor(idx.def));
-  }
+double StatementCostCache::WorkloadCost(const CandidatePool& pool,
+                                        const std::vector<uint32_t>& members) {
+  CAPD_CHECK(pool.cache() == this) << "pool interned without this cache";
+  std::string key;
+  key.reserve(4 * members.size());
+  std::optional<Configuration> config;
   double total = 0.0;
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    total += workload_->statements[i].weight * CostWithInfos(i, config, infos);
+    total += workload_->statements[i].weight *
+             StatementCost(i, pool, members, &key, &config);
   }
   return total;
 }

@@ -21,11 +21,13 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "catalog/database.h"
+#include "optimizer/candidate_pool.h"
 #include "optimizer/what_if.h"
 #include "query/query.h"
 
@@ -33,30 +35,34 @@ namespace capd {
 
 // Thread-safe: Enumerate's parallel trial evaluations share one cache.
 // Concurrent misses on the same key both run the (pure, deterministic)
-// optimizer and insert the same value, so results are independent of
-// thread count and interleaving.
+// optimizer; the thread whose insert wins counts the miss and the other a
+// hit, so results and counters depend only on the requested key sequence,
+// never on thread count or interleaving.
 class StatementCostCache {
  public:
   // All three referents must outlive the cache.
   StatementCostCache(const Database& db, const WhatIfOptimizer& optimizer,
                      const Workload& workload);
 
-  // Unweighted Cost(statement, config), served from the cache when the
-  // relevant subsequence has been costed before.
-  double Cost(size_t stmt_index, const Configuration& config);
+  // Unweighted Cost(statement, configuration of `members`), served from the
+  // cache when the relevant subsequence has been costed before. `pool` must
+  // have been built with this cache.
+  double Cost(size_t stmt_index, const CandidatePool& pool,
+              const std::vector<uint32_t>& members);
 
   // Sum of weight * Cost over the workload — bit-identical to
   // WhatIfOptimizer::WorkloadCost (same per-statement terms, summed in the
   // same statement order).
-  double WorkloadCost(const Configuration& config);
+  double WorkloadCost(const CandidatePool& pool,
+                      const std::vector<uint32_t>& members);
 
   // Statement costings served from the cache / computed by the optimizer.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
-  // True if `idx` can influence the cost of statement `stmt_index`
-  // (exposed for tests; memoized by index signature).
-  bool Relevant(size_t stmt_index, const IndexDef& idx);
+  // Per statement, 1 if `idx` can influence its cost. CandidatePool stores
+  // this once per interned index.
+  std::vector<char> RelevanceOf(const IndexDef& idx) const;
 
  private:
   // Per touched table: the statement's predicates, used columns and join
@@ -71,18 +77,13 @@ class StatementCostCache {
     std::vector<TableScope> tables;
     bool is_insert = false;
   };
-  // Interned per distinct index signature: a compact id for key building
-  // plus the per-statement relevance bitmap. Cache keys are byte strings of
-  // ids, so building one costs no signature re-rendering.
-  struct IndexInfo {
-    uint32_t id = 0;
-    std::vector<char> relevant;  // indexed by statement
-  };
 
   bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
-  const IndexInfo& InfoFor(const IndexDef& idx);
-  double CostWithInfos(size_t stmt_index, const Configuration& config,
-                       const std::vector<const IndexInfo*>& infos);
+  // Cost of one statement; `key` is a reusable buffer, `config` the members'
+  // configuration, materialized on the first miss of the caller.
+  double StatementCost(size_t stmt_index, const CandidatePool& pool,
+                       const std::vector<uint32_t>& members, std::string* key,
+                       std::optional<Configuration>* config);
 
   const Database* db_;
   const WhatIfOptimizer* optimizer_;
@@ -91,17 +92,14 @@ class StatementCostCache {
 
   // Cost entries are sharded per statement (the statement index is the
   // natural partition of every key), so the selection/enumeration fan-out
-  // contends per statement instead of on one global mutex. The id/relevance
-  // interner keeps its own lock; its traffic is one lookup per distinct
-  // index per trial configuration.
+  // contends per statement instead of on one global mutex. Keys are the
+  // little-endian pool ids of the relevant members, in member order.
   struct Shard {
     std::mutex mu;
     std::unordered_map<std::string, double> costs;  // byte key -> cost
   };
   std::vector<Shard> shards_;  // one per workload statement
 
-  std::mutex mu_;
-  std::unordered_map<std::string, IndexInfo> index_info_;  // by signature
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -97,22 +96,21 @@ double WhatIfOptimizer::Selectivity(
   return sel;
 }
 
-PlanCost WhatIfOptimizer::HeapScanCost(
-    const std::string& table, const std::vector<ColumnFilter>& preds) const {
-  (void)preds;  // a heap scan always reads everything
+PlanCost WhatIfOptimizer::HeapScanCost(const std::string& table,
+                                       bool explain) const {
+  // A heap scan always reads everything, whatever the predicates.
   const Table& t = db_->table(table);
   PlanCost cost;
   cost.io = params_.seq_page_io * static_cast<double>(t.HeapPages());
   cost.cpu = params_.cpu_per_tuple_read * static_cast<double>(t.num_rows());
-  cost.access_path = "heap scan(" + table + ")";
+  if (explain) cost.access_path = "heap scan(" + table + ")";
   return cost;
 }
 
 std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
-    const SelectQuery& q, const std::string& table,
-    const PhysicalIndexEstimate& idx, const std::vector<ColumnFilter>& preds,
-    const std::vector<std::string>& cols_used) const {
-  (void)q;
+    const std::string& table, const PhysicalIndexEstimate& idx,
+    const std::vector<ColumnFilter>& preds,
+    const std::vector<std::string>& cols_used, bool explain) const {
   if (idx.def.object != table) return std::nullopt;
 
   // Partial index: usable only when the query cannot need rows outside it.
@@ -185,7 +183,7 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
     scan.io = params_.seq_page_io * pages;
     scan.cpu = tuples * (params_.cpu_per_tuple_read +
                          static_cast<double>(used_in_index) * beta);
-    scan.access_path = "index scan(" + idx.def.ToString() + ")";
+    if (explain) scan.access_path = "index scan(" + idx.def.ToString() + ")";
     if (scan.total() < best.total()) best = scan;
   }
 
@@ -204,9 +202,10 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
       const double lookups = tuples * std::min(1.0, stored_frac);
       seek.io += params_.random_page_io * lookups;
       seek.cpu += params_.cpu_per_tuple_read * lookups;
-      seek.access_path = "index seek+lookup(" + idx.def.ToString() + ")";
-    } else {
-      seek.access_path = "index seek(" + idx.def.ToString() + ")";
+    }
+    if (explain) {
+      seek.access_path = (covering ? "index seek(" : "index seek+lookup(") +
+                         idx.def.ToString() + ")";
     }
     if (seek.total() < best.total()) best = seek;
   }
@@ -217,7 +216,8 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
 
 PlanCost WhatIfOptimizer::BestTableAccess(const SelectQuery& q,
                                           const std::string& table,
-                                          const Configuration& config) const {
+                                          const Configuration& config,
+                                          bool explain) const {
   const std::vector<ColumnFilter> preds = q.PredicatesOn(table, *db_);
   const std::vector<std::string> cols_used = q.ColumnsUsedOn(table, *db_);
 
@@ -225,11 +225,12 @@ PlanCost WhatIfOptimizer::BestTableAccess(const SelectQuery& q,
   bool have = false;
   // The heap exists unless a clustered index replaced it.
   if (!config.HasClusteredOn(table)) {
-    best = HeapScanCost(table, preds);
+    best = HeapScanCost(table, explain);
     have = true;
   }
   for (const PhysicalIndexEstimate* idx : config.IndexesOn(table)) {
-    std::optional<PlanCost> c = IndexAccessCost(q, table, *idx, preds, cols_used);
+    std::optional<PlanCost> c =
+        IndexAccessCost(table, *idx, preds, cols_used, explain);
     if (c.has_value() && (!have || c->total() < best.total())) {
       best = *c;
       have = true;
@@ -241,15 +242,16 @@ PlanCost WhatIfOptimizer::BestTableAccess(const SelectQuery& q,
 }
 
 PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
-                                     const Configuration& config) const {
+                                     const Configuration& config,
+                                     bool explain) const {
   // Base relational plan: root access + one join at a time.
-  PlanCost plan = BestTableAccess(q, q.table, config);
+  PlanCost plan = BestTableAccess(q, q.table, config, explain);
   const double root_sel = Selectivity(q.table, q.PredicatesOn(q.table, *db_));
   const double root_rows =
       static_cast<double>(db_->table(q.table).num_rows()) * root_sel;
 
   for (const JoinClause& j : q.joins) {
-    const PlanCost dim_scan = BestTableAccess(q, j.dim_table, config);
+    const PlanCost dim_scan = BestTableAccess(q, j.dim_table, config, explain);
     const double dim_rows = static_cast<double>(db_->table(j.dim_table).num_rows());
     // Hash join: build on the dimension side, probe with root rows.
     PlanCost hash = dim_scan;
@@ -269,7 +271,7 @@ PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
       const std::vector<std::string> dim_cols = q.ColumnsUsedOn(j.dim_table, *db_);
       c.cpu = root_rows * (params_.cpu_per_tuple_read +
                            static_cast<double>(dim_cols.size()) * beta);
-      c.access_path = "index NL(" + idx->def.ToString() + ")";
+      if (explain) c.access_path = "index NL(" + idx->def.ToString() + ")";
       if (c.total() < nl.total()) nl = c;
     }
 
@@ -301,7 +303,7 @@ PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
       mv_plan.cpu = access->mv_tuples * frac *
                     (params_.cpu_per_tuple_read +
                      static_cast<double>(access->used_columns) * beta);
-      mv_plan.access_path = "MV " + idx.def.ToString();
+      if (explain) mv_plan.access_path = "MV " + idx.def.ToString();
       if (mv_plan.total() < plan.total()) plan = mv_plan;
     }
   }
@@ -309,11 +311,12 @@ PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
 }
 
 PlanCost WhatIfOptimizer::CostInsert(const InsertStatement& ins,
-                                     const Configuration& config) const {
+                                     const Configuration& config,
+                                     bool explain) const {
   const Table& t = db_->table(ins.table);
   const double rows = static_cast<double>(ins.num_rows);
   PlanCost plan;
-  plan.access_path = "bulk insert(" + ins.table + ")";
+  if (explain) plan.access_path = "bulk insert(" + ins.table + ")";
 
   // Heap (or clustered index) append.
   const double heap_row_bytes = t.schema().RowWidth() + kRowOverhead;
@@ -353,20 +356,26 @@ PlanCost WhatIfOptimizer::CostInsert(const InsertStatement& ins,
   return plan;
 }
 
-PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
-                                       const Configuration& config) const {
+PlanCost WhatIfOptimizer::Plan(const Statement& stmt,
+                               const Configuration& config,
+                               bool explain) const {
   switch (stmt.type) {
     case StatementType::kSelect:
-      return CostSelect(stmt.select, config);
+      return CostSelect(stmt.select, config, explain);
     case StatementType::kInsert:
-      return CostInsert(stmt.insert, config);
+      return CostInsert(stmt.insert, config, explain);
   }
   return PlanCost{};
 }
 
+PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
+                                       const Configuration& config) const {
+  return Plan(stmt, config, /*explain=*/true);
+}
+
 double WhatIfOptimizer::Cost(const Statement& stmt,
                              const Configuration& config) const {
-  return CostWithPlan(stmt, config).total();
+  return Plan(stmt, config, /*explain=*/false).total();
 }
 
 double WhatIfOptimizer::WorkloadCost(const Workload& workload,

@@ -49,7 +49,9 @@ class MVMatcher {
 struct PlanCost {
   double io = 0.0;
   double cpu = 0.0;
-  std::string access_path;  // human-readable description of the chosen plan
+  // Human-readable description of the chosen plan; rendered only by
+  // CostWithPlan (Cost, the search's hot path, leaves it empty).
+  std::string access_path;
 
   double total() const { return io + cpu; }
 };
@@ -66,6 +68,8 @@ class WhatIfOptimizer {
   // Optimizer-estimated cost of the statement under the configuration
   // (unweighted; callers apply Statement::weight).
   double Cost(const Statement& stmt, const Configuration& config) const;
+  // The same plan with its access path described; total() equals Cost()
+  // to the bit.
   PlanCost CostWithPlan(const Statement& stmt, const Configuration& config) const;
 
   // Sum of weight * Cost over the workload.
@@ -83,23 +87,26 @@ class WhatIfOptimizer {
   const CostModelParams& params() const { return params_; }
 
  private:
-  PlanCost CostSelect(const SelectQuery& q, const Configuration& config) const;
-  PlanCost CostInsert(const InsertStatement& ins,
-                      const Configuration& config) const;
+  // Every costing runs through Plan; `explain` only decides whether the
+  // access-path text is rendered, never the numbers.
+  PlanCost Plan(const Statement& stmt, const Configuration& config,
+                bool explain) const;
+  PlanCost CostSelect(const SelectQuery& q, const Configuration& config,
+                      bool explain) const;
+  PlanCost CostInsert(const InsertStatement& ins, const Configuration& config,
+                      bool explain) const;
 
   // Best access path for the sub-query restricted to `table`: returns the
   // cost of producing `out_tuples` qualifying rows with `cols` available.
   PlanCost BestTableAccess(const SelectQuery& q, const std::string& table,
-                           const Configuration& config) const;
+                           const Configuration& config, bool explain) const;
 
-  PlanCost HeapScanCost(const std::string& table,
-                        const std::vector<ColumnFilter>& preds) const;
+  PlanCost HeapScanCost(const std::string& table, bool explain) const;
   // Cost of using `idx` for this table's portion, or nullopt if unusable.
   std::optional<PlanCost> IndexAccessCost(
-      const SelectQuery& q, const std::string& table,
-      const PhysicalIndexEstimate& idx,
+      const std::string& table, const PhysicalIndexEstimate& idx,
       const std::vector<ColumnFilter>& preds,
-      const std::vector<std::string>& cols_used) const;
+      const std::vector<std::string>& cols_used, bool explain) const;
 
   const Database* db_;
   CostModelParams params_;

@@ -49,8 +49,17 @@ class CandidateSelectionTest : public ::testing::Test {
     if (with_cache) {
       cache = std::make_unique<StatementCostCache>(db_, *optimizer_, w);
     }
-    return advisor.SelectCandidates(w, candidates_, sizes_, cache.get(),
-                                    nullptr);
+    CandidatePool pool(cache.get());
+    std::vector<uint32_t> ids;
+    for (const IndexDef& def : candidates_) {
+      ids.push_back(pool.Add(sizes_.at(def.Signature())));
+    }
+    std::vector<IndexDef> selected;
+    for (const uint32_t id :
+         advisor.SelectCandidates(w, pool, ids, cache.get(), nullptr)) {
+      selected.push_back(pool[id].est.def);
+    }
+    return selected;
   }
 
   // Fresh stack per run, mirroring bench_common's wiring (per-key sample

@@ -352,6 +352,45 @@ TEST_F(EngineTest, JsonReportShapeBasics) {
   EXPECT_EQ(response.json.back(), '\n');
 }
 
+// The statement-cost counters are part of the rendered report, so they must
+// be a function of the requested key sequence alone. Concurrent trials that
+// race on one cost-cache key used to count a miss each; at this scale that
+// inflated stmt_costs_computed on most multi-threaded runs.
+TEST(EngineCounterTest, ReportsByteIdenticalAcrossThreadCounts) {
+  workloads::WorkloadSpec spec;
+  spec.name = "tpch";
+  spec.rows = 30000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+
+  std::string serial_json;
+  size_t serial_computed = 0, serial_cached = 0;
+  for (const int threads : {1, 2, 4, 8}) {
+    EngineOptions options;
+    options.search_threads = threads;
+    options.estimation_threads = threads;
+    AdvisorEngine engine(*built.db, options);
+    TuningRequest request;
+    request.workload = built.workload;
+    request.strategy = "dtac-both";
+    request.budget = TuningBudget::Fraction(kBudgetFrac);
+    const TuningResponse response = engine.Tune(request);
+    ASSERT_TRUE(response.ok()) << response.error;
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    if (threads == 1) {
+      serial_json = response.json;
+      serial_computed = response.result.stmt_costs_computed;
+      serial_cached = response.result.stmt_costs_cached;
+      EXPECT_GT(serial_cached, 0u);
+      continue;
+    }
+    EXPECT_EQ(response.result.stmt_costs_computed, serial_computed);
+    EXPECT_EQ(response.result.stmt_costs_cached, serial_cached);
+    EXPECT_EQ(response.json, serial_json);
+  }
+}
+
 // JSON goldens: the structured rendering of all three report strategies on
 // TPC-H, byte-for-byte (the JSON twin of golden_report_test).
 class JsonGoldenTest : public EngineTest,

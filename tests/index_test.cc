@@ -1,5 +1,9 @@
 // Tests for index definitions and the physical index builder (ground-truth
 // sizes the estimation framework is judged against).
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -63,6 +67,68 @@ TEST(IndexDefTest, ColumnSetSignatureIgnoresOrder) {
   const IndexDef ba = Idx({"b", "a"});
   EXPECT_EQ(ab.ColumnSetSignature(t.schema()), ba.ColumnSetSignature(t.schema()));
   EXPECT_NE(ab.StructureSignature(), ba.StructureSignature());
+}
+
+// Signatures key the estimation cache and appear in the goldens, so their
+// bytes are frozen: any rendering change must keep every string below.
+TEST(IndexDefTest, SignatureBytesAreFrozen) {
+  const Table t = MakeTable(1);
+  struct Case {
+    IndexDef def;
+    const char* structure;
+    const char* column_set;
+  };
+  auto with = [](IndexDef def, bool clustered,
+                 std::optional<ColumnFilter> filter) {
+    def.clustered = clustered;
+    def.filter = std::move(filter);
+    return def;
+  };
+  auto filter = [](const char* column, FilterOp op, Value lo, Value hi = {}) {
+    return ColumnFilter{column, op, std::move(lo), std::move(hi)};
+  };
+  const std::vector<Case> cases = {
+      {Idx({"a", "b"}, {"c"}), "t|N|a,b,|c,", "t|N|a,b,c,"},
+      {Idx({"c", "a"}), "t|N|c,a,|", "t|N|a,c,"},
+      {with(Idx({"b"}), true, std::nullopt), "t|C|b,|", "t|C|a,b,c,d,"},
+      {with(Idx({"b"}, {"d"}), true, std::nullopt), "t|C|b,|d,",
+       "t|C|a,b,c,d,"},
+      {with(Idx({"a"}), false, filter("a", FilterOp::kEq, Value::Int64(5))),
+       "t|N|a,||F:a=5", "t|N|a,|F:a=5"},
+      {with(Idx({"a"}, {"b"}), false,
+            filter("a", FilterOp::kLt, Value::Int64(-7))),
+       "t|N|a,|b,|F:a<-7", "t|N|a,b,|F:a<-7"},
+      {with(Idx({"c"}), false, filter("c", FilterOp::kLe, Value::Date(19000))),
+       "t|N|c,||F:c<=19000", "t|N|c,|F:c<=19000"},
+      {with(Idx({"d"}), false, filter("d", FilterOp::kGt, Value::Double(2.5))),
+       "t|N|d,||F:d>2.500000", "t|N|d,|F:d>2.500000"},
+      {with(Idx({"b"}), true, filter("b", FilterOp::kGe, Value::String("m"))),
+       "t|C|b,||F:b>=m", "t|C|a,b,c,d,|F:b>=m"},
+      {with(Idx({"a"}, {"d"}), false,
+            filter("a", FilterOp::kBetween, Value::Int64(3),
+                   Value::Int64(9))),
+       "t|N|a,|d,|F:a BETWEEN 3 AND 9", "t|N|a,d,|F:a BETWEEN 3 AND 9"},
+      {with(Idx({"b"}), false,
+            filter("b", FilterOp::kBetween, Value::String("blue"),
+                   Value::String("red"))),
+       "t|N|b,||F:b BETWEEN blue AND red", "t|N|b,|F:b BETWEEN blue AND red"},
+  };
+  const std::vector<std::pair<CompressionKind, const char*>> kinds = {
+      {CompressionKind::kNone, "NONE"},
+      {CompressionKind::kRow, "ROW(NS)"},
+      {CompressionKind::kPage, "PAGE(LD)"},
+      {CompressionKind::kGlobalDict, "GLOBAL_DICT"},
+      {CompressionKind::kRle, "RLE"},
+      {CompressionKind::kBitmap, "BITMAP"},
+  };
+  for (const Case& c : cases) {
+    for (const auto& [kind, name] : kinds) {
+      const IndexDef def = c.def.WithCompression(kind);
+      EXPECT_EQ(def.StructureSignature(), c.structure);
+      EXPECT_EQ(def.Signature(), std::string(c.structure) + "|" + name);
+      EXPECT_EQ(def.ColumnSetSignature(t.schema()), c.column_set);
+    }
+  }
 }
 
 TEST(ColumnFilterTest, MatchOperators) {

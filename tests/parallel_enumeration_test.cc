@@ -4,6 +4,9 @@
 // uncached result to the bit (same guarantee the estimation engine gives).
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +103,94 @@ TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
   parallel.cost_cache = true;
   parallel.num_threads = 4;
   ExpectBitIdentical(base, Tune(parallel, 0.05));
+}
+
+// The search runs on interned candidate ids. These goldens were recorded
+// from the signature-keyed search it replaced (DTAcBoth, so backtracking is
+// on and recovers oversized picks at these budgets): the design, its costs
+// and every what-if counter must stay exactly as they were, at any thread
+// count.
+TEST_F(ParallelEnumerationTest, InternedSearchMatchesGoldens) {
+  struct Golden {
+    double budget_frac;
+    double final_cost;
+    double charged_bytes;
+    size_t what_if_calls;
+    size_t stmt_costs_computed;
+    size_t stmt_costs_cached;
+    std::vector<std::pair<const char*, double>> design;
+  };
+  const char* const kClusteredShipdate = "lineitem|C|l_shipdate,||ROW(NS)";
+  const char* const kQuantityNone =
+      "lineitem|N|l_quantity,|l_extendedprice,l_partkey,|NONE";
+  const char* const kQuantityRow =
+      "lineitem|N|l_quantity,|l_extendedprice,l_partkey,|ROW(NS)";
+  const char* const kReturnflag =
+      "lineitem|N|l_returnflag,l_linestatus,|l_shipdate,l_quantity,"
+      "l_extendedprice,l_orderkey,|NONE";
+  const char* const kReceiptdateNone =
+      "lineitem|N|l_receiptdate,l_linestatus,|l_suppkey,|NONE";
+  const char* const kReceiptdateRow =
+      "lineitem|N|l_receiptdate,l_linestatus,|l_suppkey,|ROW(NS)";
+  const char* const kClusteredPart = "part|C|p_size,||ROW(NS)";
+  const char* const kPartSize = "part|N|p_size,|p_brand,|NONE";
+  const std::vector<Golden> goldens = {
+      {0.00, 0x1.69f15baa19077p+9, -0x1.5d0b202b2ea8cp+14, 20700, 3208, 17514,
+       {{kClusteredShipdate, 0x1.eda9d4155fdefp+17},
+        {kQuantityNone, 0x1.09ap+17},
+        {kClusteredPart, 0x1.7d48d53d5cd31p+12},
+        {kReceiptdateRow, 0x1.c56a04ed3d958p+15},
+        {kPartSize, 0x1.fap+12}}},
+      {0.10, 0x1.5f341382cab07p+9, 0x1.460fd0e092c7cp+15, 20796, 3596, 17222,
+       {{kClusteredShipdate, 0x1.eda9d4155fdefp+17},
+        {kReturnflag, 0x1.57cp+17},
+        {kQuantityRow, 0x1.40bfb2f1b3d8dp+16},
+        {kClusteredPart, 0x1.7d48d53d5cd31p+12},
+        {kPartSize, 0x1.fap+12}}},
+      {0.20, 0x1.591bbbf149a2ep+9, 0x1.7588357e958b1p+16, 20820, 3479, 17363,
+       {{kClusteredShipdate, 0x1.eda9d4155fdefp+17},
+        {kQuantityNone, 0x1.09ap+17},
+        {kReturnflag, 0x1.57cp+17},
+        {kClusteredPart, 0x1.7d48d53d5cd31p+12},
+        {kPartSize, 0x1.fap+12}}},
+      {0.40, 0x1.50dc61e583774p+9, 0x1.8db41abf4ac59p+17, 23412, 3582, 19852,
+       {{kClusteredShipdate, 0x1.eda9d4155fdefp+17},
+        {kQuantityNone, 0x1.09ap+17},
+        {kReturnflag, 0x1.57cp+17},
+        {kReceiptdateNone, 0x1.a5ep+16},
+        {kClusteredPart, 0x1.7d48d53d5cd31p+12},
+        {kPartSize, 0x1.fap+12}}},
+  };
+
+  for (const Golden& golden : goldens) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("budget=" + std::to_string(golden.budget_frac) +
+                   " threads=" + std::to_string(threads));
+      AdvisorOptions options = AdvisorOptions::DTAcBoth();
+      ASSERT_TRUE(options.backtracking);
+      options.num_threads = threads;
+      const AdvisorResult r = Tune(options, golden.budget_frac);
+      // memcmp, not ==: the criterion is bit-identical doubles.
+      EXPECT_EQ(
+          std::memcmp(&r.final_cost, &golden.final_cost, sizeof(double)), 0);
+      EXPECT_EQ(std::memcmp(&r.charged_bytes, &golden.charged_bytes,
+                            sizeof(double)),
+                0);
+      EXPECT_EQ(r.what_if_calls, golden.what_if_calls);
+      EXPECT_EQ(r.stmt_costs_computed, golden.stmt_costs_computed);
+      EXPECT_EQ(r.stmt_costs_cached, golden.stmt_costs_cached);
+      ASSERT_EQ(r.config.size(), golden.design.size());
+      for (size_t i = 0; i < golden.design.size(); ++i) {
+        EXPECT_EQ(r.config.indexes()[i].def.Signature(),
+                  golden.design[i].first)
+            << i;
+        EXPECT_EQ(std::memcmp(&r.config.indexes()[i].bytes,
+                              &golden.design[i].second, sizeof(double)),
+                  0)
+            << i;
+      }
+    }
+  }
 }
 
 TEST_F(ParallelEnumerationTest, HardwareConcurrencyKnobWorks) {

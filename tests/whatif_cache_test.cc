@@ -37,9 +37,9 @@ class WhatIfCacheTest : public ::testing::Test {
     return est;
   }
 
-  // A deterministic pool of index estimates spanning every workload table,
+  // A deterministic set of index estimates spanning every workload table,
   // several widths and compressions, plus a clustered index.
-  std::vector<PhysicalIndexEstimate> CandidatePool() const {
+  std::vector<PhysicalIndexEstimate> Estimates() const {
     std::vector<PhysicalIndexEstimate> pool;
     pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kRow,
                        false, 240000));
@@ -65,18 +65,26 @@ class WhatIfCacheTest : public ::testing::Test {
     return pool;
   }
 
-  // Random subset of the pool (unique signatures), in random order.
-  Configuration RandomConfig(const std::vector<PhysicalIndexEstimate>& pool,
-                             Random* rng) const {
-    std::vector<size_t> order(pool.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Estimates() interned for `cache`; ids follow Estimates() order.
+  static CandidatePool Intern(const StatementCostCache& cache,
+                              const std::vector<PhysicalIndexEstimate>& ests) {
+    CandidatePool pool(&cache);
+    for (const PhysicalIndexEstimate& est : ests) pool.Add(est);
+    return pool;
+  }
+
+  // Random subset of the pool's ids (unique), in random order.
+  static std::vector<uint32_t> RandomMembers(const CandidatePool& pool,
+                                             Random* rng) {
+    std::vector<uint32_t> order(pool.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<uint32_t>(i);
+    }
     for (size_t i = order.size(); i > 1; --i) {
       std::swap(order[i - 1], order[rng->Next(i)]);
     }
-    const size_t n = rng->Next(pool.size() + 1);
-    Configuration config;
-    for (size_t i = 0; i < n; ++i) config.Add(pool[order[i]]);
-    return config;
+    order.resize(rng->Next(pool.size() + 1));
+    return order;
   }
 
   size_t StatementIndex(const std::string& id) const {
@@ -94,11 +102,12 @@ class WhatIfCacheTest : public ::testing::Test {
 
 TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
   StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
+  const CandidatePool pool = Intern(cache, Estimates());
   Random rng(20260729);
   for (int trial = 0; trial < 60; ++trial) {
-    const Configuration config = RandomConfig(pool, &rng);
-    const double cached = cache.WorkloadCost(config);
+    const std::vector<uint32_t> members = RandomMembers(pool, &rng);
+    const Configuration config = pool.Materialize(members);
+    const double cached = cache.WorkloadCost(pool, members);
     const double direct = optimizer_->WorkloadCost(workload_, config);
     // memcmp, not ==: the criterion is bit-identical doubles.
     EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0)
@@ -111,17 +120,15 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
 
 TEST_F(WhatIfCacheTest, RepeatedQueryIsServedFromCache) {
   StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
-  Configuration config;
-  config.Add(pool[0]);
-  config.Add(pool[5]);
+  const CandidatePool pool = Intern(cache, Estimates());
+  const std::vector<uint32_t> config = {0, 5};
 
-  const double first = cache.WorkloadCost(config);
+  const double first = cache.WorkloadCost(pool, config);
   const uint64_t misses_after_first = cache.misses();
   EXPECT_EQ(misses_after_first, workload_.statements.size());
   EXPECT_EQ(cache.hits(), 0u);
 
-  const double second = cache.WorkloadCost(config);
+  const double second = cache.WorkloadCost(pool, config);
   EXPECT_EQ(std::memcmp(&first, &second, sizeof(double)), 0);
   EXPECT_EQ(cache.misses(), misses_after_first);
   EXPECT_EQ(cache.hits(), workload_.statements.size());
@@ -129,48 +136,49 @@ TEST_F(WhatIfCacheTest, RepeatedQueryIsServedFromCache) {
 
 TEST_F(WhatIfCacheTest, IrrelevantIndexReusesStatementCosts) {
   StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
-  Configuration config;
-  config.Add(pool[0]);  // lineitem(l_shipdate)
-  cache.WorkloadCost(config);
+  const CandidatePool pool = Intern(cache, Estimates());
+  cache.WorkloadCost(pool, {0});  // lineitem(l_shipdate)
   const uint64_t misses_before = cache.misses();
 
   // Adding a supplier-only index can only affect statements that touch
   // supplier (Q2, Q5, Q11 in this workload) — everything else must hit.
-  Configuration extended = config;
-  extended.Add(pool[8]);
-  const double cached = cache.WorkloadCost(extended);
-  const double direct = optimizer_->WorkloadCost(workload_, extended);
+  const std::vector<uint32_t> extended = {0, 8};
+  const double cached = cache.WorkloadCost(pool, extended);
+  const double direct =
+      optimizer_->WorkloadCost(workload_, pool.Materialize(extended));
   EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0);
   EXPECT_LT(cache.misses() - misses_before, workload_.statements.size() / 2);
 }
 
 TEST_F(WhatIfCacheTest, RelevanceMirrorsOptimizerGates) {
   StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
+  const CandidatePool pool = Intern(cache, Estimates());
+  auto relevant = [&pool](size_t stmt, uint32_t id) {
+    return pool[id].relevant[stmt] != 0;
+  };
   // Q1 reads lineitem only (l_returnflag/l_linestatus/l_quantity/
   // l_extendedprice/l_shipdate), no joins.
   const size_t q1 = StatementIndex("Q1");
   // Seekable: predicate on l_shipdate matches the leading key.
-  EXPECT_TRUE(cache.Relevant(q1, pool[0].def));
+  EXPECT_TRUE(relevant(q1, 0));
   // Neither seekable nor covering for Q1: keyed on l_partkey.
-  EXPECT_FALSE(cache.Relevant(q1, pool[2].def));
+  EXPECT_FALSE(relevant(q1, 2));
   // Clustered indexes replace the heap: always relevant on their table.
-  EXPECT_TRUE(cache.Relevant(q1, pool[4].def));
+  EXPECT_TRUE(relevant(q1, 4));
   // Other tables never matter to Q1.
-  EXPECT_FALSE(cache.Relevant(q1, pool[6].def));
-  EXPECT_FALSE(cache.Relevant(q1, pool[8].def));
+  EXPECT_FALSE(relevant(q1, 6));
+  EXPECT_FALSE(relevant(q1, 8));
 
   // Q8 joins part on p_partkey: the part PK index serves index-NL.
   const size_t q8 = StatementIndex("Q8");
-  EXPECT_TRUE(cache.Relevant(q8, pool[6].def));
+  EXPECT_TRUE(relevant(q8, 6));
 
   // A bulk INSERT maintains every index on the loaded table and nothing
   // else.
   const size_t bulk = StatementIndex("BULK_LINEITEM");
-  EXPECT_TRUE(cache.Relevant(bulk, pool[2].def));
-  EXPECT_TRUE(cache.Relevant(bulk, pool[4].def));
-  EXPECT_FALSE(cache.Relevant(bulk, pool[6].def));
+  EXPECT_TRUE(relevant(bulk, 2));
+  EXPECT_TRUE(relevant(bulk, 4));
+  EXPECT_FALSE(relevant(bulk, 6));
 }
 
 }  // namespace
