@@ -222,12 +222,20 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+// A bench-owned worker pool for a --threads sweep point; null (serial) for
+// one thread, which is what every AdvisorOptions / SizeEstimationOptions
+// pool pointer means by null.
+inline std::unique_ptr<ThreadPool> MakeBenchPool(int threads) {
+  if (threads == 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
+}
+
 // Runs a set of advisor variants across storage budgets (fractions of the
 // base data size) and prints an improvement-% table — the shared shape of
 // Figures 12-17. Each (variant, budget) cell records its improvement (a
 // deterministic value), the what-if / statement-costing counters, and its
-// tuning wall time into ctx's report; ctx.flags.threads sets the worker
-// pool for every variant.
+// tuning wall time into ctx's report; ctx.flags.threads sizes the search
+// pool every variant runs on.
 struct Variant {
   std::string name;
   AdvisorOptions options;
@@ -236,6 +244,7 @@ struct Variant {
 inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
                                 const std::vector<double>& budget_fracs,
                                 const std::vector<Variant>& variants) {
+  const std::unique_ptr<ThreadPool> pool = MakeBenchPool(ctx->flags.threads);
   std::printf("%-12s", "Budget");
   for (const Variant& v : variants) std::printf(" %12s", v.name.c_str());
   std::printf("\n");
@@ -245,7 +254,7 @@ inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
     std::printf("%3.0f%% (%4.0fKB)", frac * 100, kb);
     for (const Variant& v : variants) {
       AdvisorOptions options = v.options;
-      options.num_threads = ctx->flags.threads;
+      options.pool = pool.get();
       const auto t0 = std::chrono::steady_clock::now();
       const AdvisorResult r = s->Tune(options, frac, w);
       const double ms = Millis(t0, std::chrono::steady_clock::now());

@@ -5,8 +5,9 @@
 // compression fraction on the bench data (deterministic at a pinned seed).
 //
 // Two compression paths are measured per codec:
-//   - encode+blob: EncodeRows -> CompressPage(EncodedPage) — what the page
-//     packer used to run per size probe (per-field strings + a real blob);
+//   - encode+blob: EncodeRows -> FlatPage::FromEncodedPage -> CompressPage —
+//     what the page packer used to run per size probe (per-field strings,
+//     a flatten, and a real blob);
 //   - measure: MeasurePage over a FlatSpan — the zero-copy size-only kernel
 //     the packer runs now. Its allocation counters (page_allocs /
 //     allocs_per_row, via src/common/alloc_tracker) are deterministic and
@@ -74,7 +75,7 @@ void Run(BenchContext& ctx) {
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
   const std::unique_ptr<Codec> none =
       MakeCodec(CompressionKind::kNone, schema, rows);
-  const std::string base = none->CompressPage(page);
+  const std::string base = none->CompressPage(flat);
 
   PrintHeader("Codec micro-benchmarks (alpha/beta CPU constants)");
   std::printf("%-12s %13s %12s %14s %7s %18s\n", "codec", "compress[us]",
@@ -84,12 +85,15 @@ void Run(BenchContext& ctx) {
        {CompressionKind::kNone, CompressionKind::kRow, CompressionKind::kPage,
         CompressionKind::kGlobalDict, CompressionKind::kRle}) {
     const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, rows);
-    const std::string blob = codec->CompressPage(page);
+    const std::string blob = codec->CompressPage(flat);
     // The measure/compress contract, asserted before timing it.
     CAPD_CHECK_EQ(codec->MeasurePage(flat), blob.size());
 
-    const double compress_us =
-        TimeUsPerCall([&] { codec->CompressPage(page); });
+    // Row-major input, flattened per call, so compress[us] stays the cost
+    // of the row-major path the packer ran before measuring flat spans.
+    const double compress_us = TimeUsPerCall([&] {
+      codec->CompressPage(FlatPage::FromEncodedPage(page, codec->widths()));
+    });
     const double measure_us =
         TimeUsPerCall([&] { sink += codec->MeasurePage(flat); });
     const double decompress_us =
@@ -100,7 +104,8 @@ void Run(BenchContext& ctx) {
     uint64_t a0 = AllocCount();
     {
       const EncodedPage probe = EncodeRows(rows, schema, 0, rows.size());
-      const std::string probe_blob = codec->CompressPage(probe);
+      const std::string probe_blob = codec->CompressPage(
+          FlatPage::FromEncodedPage(probe, codec->widths()));
       sink += probe_blob.size();
     }
     const uint64_t blob_allocs = AllocCount() - a0;

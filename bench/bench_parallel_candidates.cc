@@ -88,7 +88,8 @@ void Run(BenchContext& ctx) {
   for (int threads : {1, 2, 4, 8}) {
     AdvisorOptions options = base;
     options.cost_cache = true;
-    options.num_threads = threads;
+    const std::unique_ptr<ThreadPool> pool = MakeBenchPool(threads);
+    options.pool = pool.get();
     const AdvisorResult r = s.Tune(options, budget, w);
     char label[16];
     std::snprintf(label, sizeof(label), "t=%d", threads);
@@ -102,7 +103,8 @@ void Run(BenchContext& ctx) {
   AdvisorResult staged_serial;
   for (int threads : {1, 4}) {
     AdvisorOptions options = base;
-    options.num_threads = threads;
+    const std::unique_ptr<ThreadPool> pool = MakeBenchPool(threads);
+    options.pool = pool.get();
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
                             options.size_options);
     Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);

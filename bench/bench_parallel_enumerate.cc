@@ -76,7 +76,8 @@ void Run(BenchContext& ctx) {
   for (int threads : {1, 2, 4, 8}) {
     AdvisorOptions options = base;
     options.cost_cache = true;
-    options.num_threads = threads;
+    const std::unique_ptr<ThreadPool> pool = MakeBenchPool(threads);
+    options.pool = pool.get();
     const auto t0 = std::chrono::steady_clock::now();
     const AdvisorResult r = s.Tune(options, budget, w);
     const double ms = Millis(t0, std::chrono::steady_clock::now());

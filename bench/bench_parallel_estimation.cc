@@ -2,7 +2,8 @@
 // estimation workload (full candidate set of the all-features tool over
 // TPC-H) executed with 1/2/4/8 worker threads, verifying byte-identical
 // results at every thread count, plus the cross-round estimation cache
-// (second advisor round priced from cache instead of re-sampled).
+// (the second round serves every SampleCF leaf from the cache instead of
+// re-sampling it, with the same plan, fraction and cost as the first).
 #include <cstring>
 
 #include "advisor/candidates.h"
@@ -58,8 +59,9 @@ void Run(BenchContext& ctx) {
   double serial_ms = 0.0;
   SizeEstimator::BatchResult baseline;
   for (int threads : {1, 2, 4, 8}) {
+    const std::unique_ptr<ThreadPool> pool = MakeBenchPool(threads);
     SizeEstimationOptions size_options = options.size_options;
-    size_options.num_threads = threads;
+    size_options.pool = pool.get();
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(), size_options);
     const auto t0 = std::chrono::steady_clock::now();
     const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);

@@ -18,9 +18,12 @@
 // mid-tune still prints the best-so-far design, but the process exits 3 —
 // as it does on kOverloaded — so scripts can tell a degraded answer from a
 // complete one.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "engine/advisor_engine.h"
@@ -30,6 +33,9 @@
 using namespace capd;
 
 namespace {
+
+// Same ceiling as the bench flag set; 0 keeps hardware concurrency.
+constexpr uint64_t kMaxThreads = 256;
 
 void Usage() {
   std::fprintf(
@@ -43,21 +49,27 @@ void Usage() {
       "  --budget accepts a percentage of the base data size (\"15%%\") or\n"
       "  an absolute byte count (\"1048576\"); --budget-frac takes the\n"
       "  fraction as a float. --threads drives both the search and the\n"
-      "  estimation pools (0 = hardware concurrency). --mv/--partial add\n"
-      "  MV and partial-index candidates on top of the chosen strategy.\n"
+      "  estimation pools (0 = hardware concurrency, at most 256); --priority\n"
+      "  takes any int. --mv/--partial add MV and partial-index candidates\n"
+      "  on top of the chosen strategy.\n"
       "  --timeout-ms/--priority run through the TuningService: a deadline\n"
       "  that fires mid-tune prints the best-so-far design and exits 3\n"
       "  (as does an overloaded rejection).\n"
       "  --list prints the registered strategies and workloads and exits.\n");
 }
 
-// Strict numeric parsers: the whole value must parse, or we exit 2 — a
-// silently truncated \"10k\" must not become 10 (or 0 = workload default).
+// Strict numeric parsers: the whole value must parse and lie in
+// [min_value, max_value], or we exit 2 — a silently truncated \"10k\" must
+// not become 10 (or 0 = workload default), and an out-of-range value must
+// not wrap when narrowed.
 uint64_t ParseUint64Flag(const char* flag, const char* text,
-                         uint64_t min_value = 0) {
+                         uint64_t min_value = 0,
+                         uint64_t max_value = UINT64_MAX) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || value < min_value) {
+  if (end == text || *end != '\0' || errno == ERANGE || text[0] == '-' ||
+      value < min_value || value > max_value) {
     std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
     Usage();
     std::exit(2);
@@ -77,10 +89,13 @@ double ParseDoubleFlag(const char* flag, const char* text) {
 }
 
 // Strict signed integer (priorities may be negative); same exit-2 contract.
-int64_t ParseInt64Flag(const char* flag, const char* text) {
+int64_t ParseInt64Flag(const char* flag, const char* text, int64_t min_value,
+                       int64_t max_value) {
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (end == text || *end != '\0' || errno == ERANGE || value < min_value ||
+      value > max_value) {
     std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
     Usage();
     std::exit(2);
@@ -160,7 +175,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget-frac") {
       budget = TuningBudget::Fraction(ParseDoubleFlag("--budget-frac", next()));
     } else if (arg == "--threads") {
-      threads = static_cast<int>(ParseUint64Flag("--threads", next()));
+      threads = static_cast<int>(
+          ParseUint64Flag("--threads", next(), 0, kMaxThreads));
     } else if (arg == "--insert-weight") {
       insert_weight = ParseDoubleFlag("--insert-weight", next());
     } else if (arg == "--timeout-ms") {
@@ -172,7 +188,9 @@ int main(int argc, char** argv) {
       }
       use_service = true;
     } else if (arg == "--priority") {
-      priority = static_cast<int>(ParseInt64Flag("--priority", next()));
+      priority = static_cast<int>(ParseInt64Flag(
+          "--priority", next(), std::numeric_limits<int>::min(),
+          std::numeric_limits<int>::max()));
       use_service = true;
     } else if (arg == "--mv") {
       enable_mv = true;

@@ -97,9 +97,10 @@ class Advisor {
   // are ids into `pool`; the selected ids come back in first-kept order.
   // The single-index costings go through `cost_cache` (may be null; when
   // set, `pool` must be interned with it), where they double as warm-up for
-  // the first enumeration step; they fan out over Pool() and are reduced
-  // serially in (query, candidate) order, so the selected pool is
-  // bit-identical at any thread count. Public for tests and tooling.
+  // the first enumeration step; they fan out over the search pool
+  // (AdvisorOptions::pool) and are reduced serially in (query, candidate)
+  // order, so the selected pool is bit-identical at any thread count.
+  // Public for tests and tooling.
   std::vector<uint32_t> SelectCandidates(
       const Workload& workload, const CandidatePool& pool,
       const std::vector<uint32_t>& candidates, StatementCostCache* cost_cache,
@@ -109,7 +110,7 @@ class Advisor {
   // Greedy enumeration with optional backtracking over the `candidates` ids
   // of `pool`; returns the chosen member ids in configuration order.
   // `cost_cache` may be null (uncached costing); trial evaluations run on
-  // Pool() when the options enable enumeration threads.
+  // the search pool when one is set.
   std::vector<uint32_t> Enumerate(const Workload& workload,
                                   const CandidatePool& pool,
                                   const std::vector<uint32_t>& candidates,
@@ -130,15 +131,11 @@ class Advisor {
                       const std::vector<uint32_t>& members) const;
 
   // Uncached workload costing with the per-statement optimizer calls
-  // fanned across Pool(); the weighted sum is reduced in statement order,
-  // reproducing WhatIfOptimizer::WorkloadCost to the bit.
+  // fanned across the search pool; the weighted sum is reduced in statement
+  // order, reproducing WhatIfOptimizer::WorkloadCost to the bit.
   double PooledWorkloadCost(const Workload& workload,
                             const Configuration& config,
                             AdvisorResult* result) const;
-
-  // Enumeration thread pool: options_.pool when set, otherwise created on
-  // first use and reused across rounds; null when options_.num_threads == 1.
-  ThreadPool* Pool() const;
 
   // Cooperative cancellation / progress plumbing (no-ops when the options
   // leave them unset).
@@ -150,7 +147,6 @@ class Advisor {
   SizeEstimator* sizes_;
   MVRegistry* mvs_;
   AdvisorOptions options_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace capd

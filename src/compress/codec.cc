@@ -13,10 +13,6 @@ void Codec::ValidateSpan(const FlatSpan& span) const {
   }
 }
 
-std::string Codec::CompressPage(const EncodedPage& page) const {
-  return CompressPage(FlatPage::FromEncodedPage(page, widths_).span());
-}
-
 std::string NoneCodec::CompressPage(const FlatSpan& span) const {
   ValidateSpan(span);
   const size_t n = span.num_rows();

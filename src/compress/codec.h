@@ -46,10 +46,6 @@ class Codec {
 
   virtual EncodedPage DecompressPage(std::string_view blob) const = 0;
 
-  // Legacy row-major entry point: flattens and delegates. Byte-identical to
-  // compressing the equivalent FlatSpan.
-  std::string CompressPage(const EncodedPage& page) const;
-
   // Storage charged once per index regardless of page count (e.g. the
   // global dictionary). Zero for page-local codecs.
   virtual uint64_t IndexOverheadBytes() const { return 0; }
@@ -75,7 +71,6 @@ class NoneCodec : public Codec {
  public:
   explicit NoneCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kNone; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
@@ -88,7 +83,6 @@ class RowCodec : public Codec {
  public:
   explicit RowCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kRow; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;

@@ -26,7 +26,6 @@ class GlobalDictCodec : public Codec {
   static std::unique_ptr<GlobalDictCodec> Build(const std::vector<Row>& rows,
                                                 const Schema& schema);
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kGlobalDict; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;

@@ -1,5 +1,6 @@
 #include "engine/advisor_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -8,6 +9,15 @@
 #include "advisor/report_json.h"
 
 namespace capd {
+namespace {
+
+// Null (serial) for one worker; <= 0 = hardware concurrency.
+std::shared_ptr<ThreadPool> MakePool(int threads) {
+  if (threads == 1) return nullptr;
+  return std::make_shared<ThreadPool>(threads);
+}
+
+}  // namespace
 
 AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
     : db_(&db),
@@ -20,23 +30,17 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
     estimation_cache_ = std::make_shared<EstimationCache>(
         options_.estimation_cache_capacity_bytes);
   }
+  search_pool_ = MakePool(options_.search_threads);
+  estimation_pool_ = std::max(options_.estimation_threads, 0) ==
+                             std::max(options_.search_threads, 0)
+                         ? search_pool_
+                         : MakePool(options_.estimation_threads);
 }
 
-ThreadPool* AdvisorEngine::PoolFor(int threads) {
-  if (threads == 1) return nullptr;
-  if (threads < 0) threads = 0;  // normalize: 0 = hardware concurrency
-  std::lock_guard<std::mutex> lock(pools_mu_);
-  std::unique_ptr<ThreadPool>& pool = pools_[threads];
-  if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
-  return pool.get();
-}
-
-void AdvisorEngine::LendPools(AdvisorOptions* options) {
-  if (options->pool == nullptr) {
-    options->pool = PoolFor(options->num_threads);
-  }
+void AdvisorEngine::LendPools(AdvisorOptions* options) const {
+  if (options->pool == nullptr) options->pool = search_pool_.get();
   if (options->size_options.pool == nullptr) {
-    options->size_options.pool = PoolFor(options->size_options.num_threads);
+    options->size_options.pool = estimation_pool_.get();
   }
 }
 
@@ -64,22 +68,12 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
 
   // Strategy base options + request knobs + engine-owned collaborators.
   AdvisorOptions options = strategy->MakeOptions();
-  options.num_threads = request.search_threads >= 0 ? request.search_threads
-                                                    : options_.search_threads;
-  options.size_options.num_threads = request.estimation_threads >= 0
-                                         ? request.estimation_threads
-                                         : options_.estimation_threads;
-  options.cost_cache =
-      request.cost_cache >= 0 ? request.cost_cache != 0 : options_.cost_cache;
   if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
   if (request.enable_partial >= 0) {
     options.enable_partial = request.enable_partial != 0;
   }
   if (request.use_shared_estimation_cache && estimation_cache_ != nullptr) {
     options.size_options.cache = estimation_cache_;
-    // Fraction-exact mode: warmth must never change what a request
-    // computes — see the determinism contract in the header.
-    options.size_options.cache_fraction_exact = true;
   }
   options.trace = options.trace || request.trace;
   options.cancel = request.cancel.flag();

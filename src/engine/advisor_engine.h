@@ -18,8 +18,10 @@
 // the text report, and the JSON report, bytes included — is identical to
 // running that request alone on a freshly wired stack. Shared caches only
 // memoize pure computations (samples are seeded per cache key; the
-// estimation cache runs in fraction-exact mode; the statement cost cache
-// is per-request), so warmth changes latency, never results.
+// estimation cache memoizes SampleCF leaves at the fraction the cold
+// search picks; the statement cost cache is per-request), so warmth
+// changes latency, never results. Thread counts are engine-wide
+// (EngineOptions); requests choose strategy, budget and candidate classes.
 //
 // The raw Advisor (advisor/advisor.h) remains the low-level layer for
 // callers that need to hand-wire collaborators; TuneWithOptions() is the
@@ -29,9 +31,7 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "advisor/advisor.h"
@@ -42,11 +42,12 @@
 namespace capd {
 
 struct EngineOptions {
-  // Default worker threads for a request's search loop (what-if costings)
-  // and estimation batches; 1 = serial, 0 = hardware concurrency.
-  // Requests may override per call. Pools are created lazily, owned by the
-  // engine, and shared across concurrent requests (results stay
-  // bit-identical at any thread count).
+  // Worker threads for every request's search loop (what-if costings) and
+  // estimation batches; 1 = serial, 0 = hardware concurrency. The engine
+  // builds these pools once at construction (one pool serves both when the
+  // counts are equal), owns them, and lends them to every request, which
+  // has no thread setting of its own. Results stay bit-identical at any
+  // thread count.
   int search_threads = 1;
   int estimation_threads = 1;
 
@@ -54,15 +55,11 @@ struct EngineOptions {
   // key, so any fixed seed gives run-to-run reproducibility.
   uint64_t sample_seed = 4242;
 
-  // Cross-request estimation cache (fraction-exact mode, see
-  // SizeEstimationOptions::cache_fraction_exact): indexes priced by one
-  // request are not re-sampled by the next. 0 capacity = unbounded.
+  // Cross-request estimation cache (see SizeEstimationOptions::cache):
+  // SampleCF leaves priced by one request are not re-sampled by the next.
+  // 0 capacity = unbounded.
   bool share_estimation_cache = true;
   size_t estimation_cache_capacity_bytes = 0;
-
-  // Default for TuningRequest::cost_cache (the per-request sharded
-  // statement cost cache).
-  bool cost_cache = true;
 };
 
 // Cooperative cancellation handle. Copies share the flag: keep one, put
@@ -112,10 +109,6 @@ struct TuningRequest {
   std::string strategy = "dtac-both";
   TuningBudget budget;  // default: 20% of base data
 
-  // --- knobs (engine / strategy defaults when negative) ---
-  int search_threads = -1;
-  int estimation_threads = -1;
-  int cost_cache = -1;  // -1 = engine default, 0 = off, 1 = on
   // Candidate-class toggles overlaying the strategy's base options
   // (-1 = strategy default, 0 = off, 1 = on). MV-enabled requests tune
   // against a request-private MV registry, so their workload-derived view
@@ -185,7 +178,7 @@ class AdvisorEngine {
 
   // Low-level escape hatch: run Advisor::Tune with caller-built options on
   // the engine-owned stack (the options are honored verbatim; the engine
-  // only lends its thread pools when the options name no external pool).
+  // only fills in its own pools where the options' pool pointers are null).
   // Benches use this for ablation variants no registered strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
@@ -215,12 +208,8 @@ class AdvisorEngine {
   };
   RequestScope ScopeFor(const AdvisorOptions& options);
 
-  // Engine-owned pool for `threads` workers (lazily created, reused, keyed
-  // by count); null when threads == 1.
-  ThreadPool* PoolFor(int threads);
-
-  // Overlays engine pools (and nothing else) onto per-request options.
-  void LendPools(AdvisorOptions* options);
+  // Fills the engine's pools into null pool pointers of `options`.
+  void LendPools(AdvisorOptions* options) const;
 
   const Database* db_;
   const EngineOptions options_;
@@ -229,8 +218,10 @@ class AdvisorEngine {
   WhatIfOptimizer optimizer_;
   std::shared_ptr<EstimationCache> estimation_cache_;  // null when not shared
 
-  std::mutex pools_mu_;
-  std::map<int, std::unique_ptr<ThreadPool>> pools_;  // by thread count
+  // Built in the constructor; null for a count of 1. Equal counts share
+  // one pool.
+  std::shared_ptr<ThreadPool> search_pool_;
+  std::shared_ptr<ThreadPool> estimation_pool_;
 };
 
 }  // namespace capd

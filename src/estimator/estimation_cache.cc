@@ -46,21 +46,6 @@ std::optional<SampleCfResult> EstimationCache::Lookup(
   return it->second.result;
 }
 
-std::optional<SampleCfResult> EstimationCache::LookupBest(
-    const std::string& signature, const std::vector<double>& fractions) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = fractions.rbegin(); it != fractions.rend(); ++it) {
-    const auto entry = entries_.find(Key(signature, *it));
-    if (entry != entries_.end()) {
-      ++hits_;
-      TouchLocked(entry->second);
-      return entry->second.result;
-    }
-  }
-  ++misses_;
-  return std::nullopt;
-}
-
 void EstimationCache::Insert(const std::string& signature, double f,
                              const SampleCfResult& r) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -2,9 +2,9 @@
 // enumeration re-prices overlapping candidate sets round after round
 // (initial pool, merged pool, staged baselines), and every re-estimate of
 // an already-priced index is pure waste — size estimation dominates
-// advisor runtime (Figure 11). Entries are keyed by IndexDef signature +
-// sampling fraction, so a hit reproduces exactly what a fresh SampleCF or
-// deduction at that fraction would have produced.
+// advisor runtime (Figure 11). Entries are SampleCF leaf results keyed by
+// IndexDef signature + sampling fraction, so a hit reproduces exactly what
+// a fresh SampleCF run at that fraction would have produced.
 //
 // Optionally memory-bounded: with a capacity, entries are evicted in
 // least-recently-used order (lookups and inserts refresh recency), so
@@ -19,7 +19,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "estimator/sample_cf.h"
 
@@ -34,14 +33,6 @@ class EstimationCache {
   // Estimate of `signature` produced at sampling fraction f, if cached.
   std::optional<SampleCfResult> Lookup(const std::string& signature,
                                        double f) const;
-
-  // Best cached estimate of `signature` across candidate fractions: the
-  // last cached entry in `fractions` wins, so pass them ascending (the
-  // SizeEstimationOptions convention) to prefer the largest f — most
-  // accurate; error shrinks monotonically with f in the Section 5.1
-  // model. Probed once per target per round, hence no defensive sort.
-  std::optional<SampleCfResult> LookupBest(
-      const std::string& signature, const std::vector<double>& fractions) const;
 
   void Insert(const std::string& signature, double f, const SampleCfResult& r);
 

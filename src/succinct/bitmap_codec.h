@@ -35,7 +35,6 @@ class BitmapCodec : public Codec {
 
   explicit BitmapCodec(std::vector<uint32_t> widths);
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kBitmap; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;

@@ -123,14 +123,14 @@ TEST_F(CandidateSelectionTest, ParallelSelectionIdenticalToSerial) {
        {CandidateSelectionMode::kSkyline, CandidateSelectionMode::kTopK}) {
     AdvisorOptions serial = AdvisorOptions::DTAcBoth();
     serial.selection = mode;
-    serial.num_threads = 1;
     const std::vector<IndexDef> base = Select(workload_, serial, false);
     EXPECT_GT(base.size(), 0u);
 
     for (int threads : {1, 2, 4, 8}) {
       for (bool cache : {false, true}) {
         AdvisorOptions options = serial;
-        options.num_threads = threads;
+        ThreadPool pool(threads);
+        options.pool = &pool;
         const std::vector<IndexDef> got = Select(workload_, options, cache);
         ASSERT_EQ(base.size(), got.size())
             << "threads=" << threads << " cache=" << cache;
@@ -230,14 +230,14 @@ TEST_F(CandidateSelectionTest, StagedBaselineNeverBeatsDTAc) {
 TEST_F(CandidateSelectionTest, StagedBaselineParallelIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcNone();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.15, /*staged=*/true);
 
   for (int threads : {2, 4, 8}) {
     for (bool cache : {false, true}) {
       AdvisorOptions parallel = serial;
       parallel.cost_cache = cache;
-      parallel.num_threads = threads;
+      ThreadPool pool(threads);
+      parallel.pool = &pool;
       ExpectBitIdentical(base, Tune(parallel, 0.15, /*staged=*/true));
     }
   }
@@ -246,13 +246,13 @@ TEST_F(CandidateSelectionTest, StagedBaselineParallelIdenticalToSerial) {
 TEST_F(CandidateSelectionTest, FullTuneParallelIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.12);
 
   for (int threads : {2, 4, 8}) {
     AdvisorOptions parallel = serial;
     parallel.cost_cache = true;
-    parallel.num_threads = threads;
+    ThreadPool pool(threads);
+    parallel.pool = &pool;
     const AdvisorResult r = Tune(parallel, 0.12);
     ExpectBitIdentical(base, r);
     // Selection costings now flow through the shared cost cache and warm

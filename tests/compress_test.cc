@@ -30,6 +30,13 @@ std::vector<Row> MakeRows(int n, int distinct_a, Random* rng) {
   return rows;
 }
 
+// Blob of every row of `rows` under `schema`, through the FlatSpan entry
+// point.
+std::string Blob(const Codec& codec, const std::vector<Row>& rows,
+                 const Schema& schema) {
+  return codec.CompressPage(FlatPage::FromRows(rows, schema, 0, rows.size()));
+}
+
 bool PagesEqual(const EncodedPage& a, const EncodedPage& b) {
   if (a.rows.size() != b.rows.size()) return false;
   for (size_t i = 0; i < a.rows.size(); ++i) {
@@ -83,8 +90,7 @@ TEST_P(CodecRoundTrip, RandomPages) {
     std::vector<Row> rows = MakeRows(1 + static_cast<int>(rng.Next(200)), 5, &rng);
     std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
     const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
-    const std::string blob = codec->CompressPage(page);
-    const EncodedPage back = codec->DecompressPage(blob);
+    const EncodedPage back = codec->DecompressPage(Blob(*codec, rows, schema));
     EXPECT_TRUE(PagesEqual(page, back)) << CompressionKindName(GetParam());
   }
 }
@@ -106,8 +112,7 @@ TEST_P(CodecRoundTrip, EmptyPage) {
   const Schema schema = TwoColSchema();
   std::vector<Row> rows;
   std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-  const EncodedPage page;
-  const EncodedPage back = codec->DecompressPage(codec->CompressPage(page));
+  const EncodedPage back = codec->DecompressPage(Blob(*codec, rows, schema));
   EXPECT_EQ(back.rows.size(), 0u);
 }
 
@@ -128,10 +133,10 @@ TEST(RowCodecTest, SmallIntsCompress) {
   const Schema schema({{"a", ValueType::kInt64, 8}});
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) rows.push_back({Value::Int64(i % 3)});
-  const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
   NoneCodec none(ColumnWidths(schema));
   RowCodec row(ColumnWidths(schema));
-  EXPECT_LT(row.CompressPage(page).size(), none.CompressPage(page).size() / 2);
+  EXPECT_LT(Blob(row, rows, schema).size(),
+            Blob(none, rows, schema).size() / 2);
 }
 
 TEST(RowCodecTest, OrderIndependentSize) {
@@ -139,11 +144,9 @@ TEST(RowCodecTest, OrderIndependentSize) {
   const Schema schema = TwoColSchema();
   std::vector<Row> rows = MakeRows(150, 4, &rng);
   RowCodec codec(ColumnWidths(schema));
-  const size_t size1 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t size1 = Blob(codec, rows, schema).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
-  const size_t size2 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t size2 = Blob(codec, rows, schema).size();
   EXPECT_EQ(size1, size2);  // NS size is a function of the multiset only
 }
 
@@ -155,10 +158,8 @@ TEST(PageCodecTest, DuplicatesGoToDictionary) {
     distinct.push_back({Value::String("val" + std::to_string(i))});
   }
   PageCodec codec(ColumnWidths(schema));
-  const size_t uniform_size =
-      codec.CompressPage(EncodeRows(uniform, schema, 0, uniform.size())).size();
-  const size_t distinct_size =
-      codec.CompressPage(EncodeRows(distinct, schema, 0, distinct.size())).size();
+  const size_t uniform_size = Blob(codec, uniform, schema).size();
+  const size_t distinct_size = Blob(codec, distinct, schema).size();
   EXPECT_LT(uniform_size, distinct_size / 3);
 }
 
@@ -175,10 +176,8 @@ TEST(PageCodecTest, OrderDependentSize) {
                                  std::to_string(i))});
   }
   PageCodec codec(ColumnWidths(schema));
-  const size_t close_size =
-      codec.CompressPage(EncodeRows(close, schema, 0, close.size())).size();
-  const size_t far_size =
-      codec.CompressPage(EncodeRows(far, schema, 0, far.size())).size();
+  const size_t close_size = Blob(codec, close, schema).size();
+  const size_t far_size = Blob(codec, far, schema).size();
   EXPECT_LT(close_size, far_size);
 }
 
@@ -188,11 +187,9 @@ TEST(RleCodecTest, SortedBeatsShuffled) {
   std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i / 50)});
   RleCodec codec(ColumnWidths(schema));
-  const size_t sorted_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t sorted_size = Blob(codec, rows, schema).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
-  const size_t shuffled_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t shuffled_size = Blob(codec, rows, schema).size();
   EXPECT_LT(sorted_size, shuffled_size / 4);
 }
 

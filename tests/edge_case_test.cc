@@ -139,7 +139,8 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
   // stage 2 must survive a workload with no statements (zero-shard cost
   // cache, zero costing jobs).
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
+  ThreadPool pool(4);
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult tuned = advisor.Tune(Workload{}, 1e9);
   EXPECT_EQ(tuned.config.size(), 0u);
@@ -153,7 +154,8 @@ TEST_F(AdvisorEdgeCase, ZeroStorageBudget) {
   // At a 0-byte budget only configurations that free space (compressed
   // clustered indexes replacing the heap) may be charged.
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 2;
+  ThreadPool pool(2);
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 0.0);
   EXPECT_LE(r.charged_bytes, 1.0);
@@ -166,12 +168,12 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
   ASSERT_EQ(single.statements.front().type, StatementType::kSelect);
 
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.num_threads = 1;
   Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, serial);
   const AdvisorResult base = a1.Tune(single, 1e9);
 
   AdvisorOptions parallel = serial;
-  parallel.num_threads = 8;  // more workers than costing jobs per query
+  ThreadPool pool(8);  // more workers than costing jobs per query
+  parallel.pool = &pool;
   Advisor a2(db_, *optimizer_, sizes_.get(), nullptr, parallel);
   const AdvisorResult r = a2.Tune(single, 1e9);
   EXPECT_DOUBLE_EQ(base.final_cost, r.final_cost);
@@ -181,7 +183,8 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
 TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
   AdvisorOptions options = AdvisorOptions::DTAcNone();
   options.top_k = 0;
-  options.num_threads = 2;
+  ThreadPool pool(2);
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 1e9);
   // An empty candidate pool must yield an empty (not crashed) tuning.
@@ -191,13 +194,14 @@ TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
 }
 
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // cache_capacity_bytes == 0 means "unbounded", and it must compose with
-  // both thread pools (estimation + search) without crashing or drifting.
+  // An unbounded cache (capacity 0) must compose with both thread pools
+  // (estimation + search) without crashing or drifting.
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
-  options.size_options.num_threads = 2;
-  options.size_options.cache = std::make_shared<EstimationCache>();
-  options.size_options.cache_capacity_bytes = 0;
+  ThreadPool search_pool(4);
+  ThreadPool estimation_pool(2);
+  options.pool = &search_pool;
+  options.size_options.pool = &estimation_pool;
+  options.size_options.cache = std::make_shared<EstimationCache>(0);
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),
                           options.size_options);
   Advisor advisor(db_, *optimizer_, &estimator, nullptr, options);

@@ -157,8 +157,8 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
 
 TEST_F(EngineTest, WarmEngineRendersIdenticalBytes) {
   // Request N is served from caches request N-1 filled; the rendered
-  // report must not change (fraction-exact estimation cache, per-request
-  // cost cache).
+  // report must not change (the estimation cache memoizes SampleCF leaves
+  // at the cold fraction; the cost cache is per-request).
   AdvisorEngine engine(*built_.db);
   const TuningResponse cold = engine.Tune(MakeRequest("dtac-skyline"));
   ASSERT_TRUE(cold.ok()) << cold.error;
@@ -283,22 +283,33 @@ TEST_F(EngineTest, ZeroAndFullBudgetEdges) {
 }
 
 TEST_F(EngineTest, RequestKnobsOverrideEngineDefaults) {
-  EngineOptions options;
-  options.search_threads = 1;
-  options.estimation_threads = 1;
-  AdvisorEngine engine(*built_.db, options);
+  EngineOptions engine_options;
+  engine_options.search_threads = 1;
+  engine_options.estimation_threads = 1;
+  AdvisorEngine engine(*built_.db, engine_options);
   const FreshRun reference = RunOnFreshStack(*built_.db, built_.workload,
                                              "dtac-skyline", BudgetBytes());
   TuningRequest request = MakeRequest("dtac-skyline");
-  request.search_threads = 4;
-  request.estimation_threads = 2;
-  request.cost_cache = 0;
+  request.use_shared_estimation_cache = false;
   const TuningResponse response = engine.Tune(request);
   ASSERT_TRUE(response.ok()) << response.error;
-  // Threads and cache knobs never change the recommendation...
   ExpectBitIdentical(reference.result, response.result);
+
+  // Caller-owned pools and the cost-cache ablation ride on the options of
+  // TuneWithOptions; the engine fills in only null pool pointers.
+  AdvisorOptions options =
+      StrategyRegistry::Global().Find("dtac-skyline")->MakeOptions();
+  ThreadPool search_pool(4);
+  ThreadPool estimation_pool(2);
+  options.pool = &search_pool;
+  options.size_options.pool = &estimation_pool;
+  options.cost_cache = false;
+  const AdvisorResult ablated =
+      engine.TuneWithOptions(built_.workload, BudgetBytes(), options);
+  // Threads and cache knobs never change the recommendation...
+  ExpectBitIdentical(reference.result, ablated);
   // ...and disabling the cost cache is observable in the counters.
-  EXPECT_EQ(response.result.stmt_costs_cached, 0u);
+  EXPECT_EQ(ablated.stmt_costs_cached, 0u);
 }
 
 TEST_F(EngineTest, MvEnabledRequestsDoNotLeakAcrossRequests) {

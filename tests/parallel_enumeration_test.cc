@@ -80,14 +80,14 @@ TEST_F(ParallelEnumerationTest, CostCacheDoesNotChangeTheResult) {
 TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.08);
 
   for (int threads : {2, 4, 8}) {
     for (bool cache : {false, true}) {
       AdvisorOptions parallel = AdvisorOptions::DTAcBoth();
       parallel.cost_cache = cache;
-      parallel.num_threads = threads;
+      ThreadPool pool(threads);
+      parallel.pool = &pool;
       ExpectBitIdentical(base, Tune(parallel, 0.08));
     }
   }
@@ -101,7 +101,8 @@ TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
 
   AdvisorOptions parallel = serial;
   parallel.cost_cache = true;
-  parallel.num_threads = 4;
+  ThreadPool pool(4);
+  parallel.pool = &pool;
   ExpectBitIdentical(base, Tune(parallel, 0.05));
 }
 
@@ -168,7 +169,8 @@ TEST_F(ParallelEnumerationTest, InternedSearchMatchesGoldens) {
                    " threads=" + std::to_string(threads));
       AdvisorOptions options = AdvisorOptions::DTAcBoth();
       ASSERT_TRUE(options.backtracking);
-      options.num_threads = threads;
+      ThreadPool pool(threads);
+      options.pool = &pool;
       const AdvisorResult r = Tune(options, golden.budget_frac);
       // memcmp, not ==: the criterion is bit-identical doubles.
       EXPECT_EQ(
@@ -195,7 +197,8 @@ TEST_F(ParallelEnumerationTest, InternedSearchMatchesGoldens) {
 
 TEST_F(ParallelEnumerationTest, HardwareConcurrencyKnobWorks) {
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 0;  // hardware concurrency
+  ThreadPool pool(0);  // hardware concurrency
+  options.pool = &pool;
   const AdvisorResult r = Tune(options, 0.10);
   EXPECT_GT(r.what_if_calls, 0u);
 }

@@ -1,6 +1,7 @@
 // Tests for the parallel batch-estimation engine and the cross-round
 // estimation cache: parallel EstimateAll must be byte-identical to serial,
-// and cached rounds must skip re-estimation entirely.
+// and cached rounds must skip every SampleCF build they can while staying
+// byte-identical to an uncached run.
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -73,13 +74,13 @@ class ParallelEstimationTest : public ::testing::Test {
 
 TEST_F(ParallelEstimationTest, ParallelEstimateAllBitIdenticalToSerial) {
   SizeEstimationOptions serial;
-  serial.num_threads = 1;
   const SizeEstimator::BatchResult base = RunBatch(serial);
   EXPECT_EQ(base.estimates.size(), Targets().size());
 
   for (int threads : {2, 4, 8}) {
     SizeEstimationOptions parallel;
-    parallel.num_threads = threads;
+    ThreadPool pool(threads);
+    parallel.pool = &pool;
     ExpectBitIdentical(base, RunBatch(parallel));
   }
 }
@@ -89,13 +90,15 @@ TEST_F(ParallelEstimationTest, ParallelIdenticalInNoDeductionMode) {
   serial.use_deduction = false;
   const SizeEstimator::BatchResult base = RunBatch(serial);
   SizeEstimationOptions parallel = serial;
-  parallel.num_threads = 4;
+  ThreadPool pool(4);
+  parallel.pool = &pool;
   ExpectBitIdentical(base, RunBatch(parallel));
 }
 
 TEST_F(ParallelEstimationTest, HardwareConcurrencyKnobWorks) {
   SizeEstimationOptions options;
-  options.num_threads = 0;  // hardware concurrency
+  ThreadPool pool(0);  // hardware concurrency
+  options.pool = &pool;
   const SizeEstimator::BatchResult r = RunBatch(options);
   EXPECT_EQ(r.estimates.size(), Targets().size());
 }
@@ -104,54 +107,60 @@ TEST_F(ParallelEstimationTest, RepeatedRunsAreDeterministic) {
   // Same seed, fresh samples: estimates must be reproducible run to run
   // (per-key RNG seeding, not draw-order seeding).
   SizeEstimationOptions options;
-  options.num_threads = 4;
+  ThreadPool pool(4);
+  options.pool = &pool;
   ExpectBitIdentical(RunBatch(options), RunBatch(options));
 }
 
 TEST_F(ParallelEstimationTest, CacheSkipsReEstimation) {
+  auto cache = std::make_shared<EstimationCache>();
   SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
+  options.cache = cache;
 
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
   SizeEstimator estimator(db_, &source, ErrorModel(), options);
 
-  const SizeEstimator::BatchResult first = estimator.EstimateAll(Targets());
-  EXPECT_EQ(first.cache_hits, 0u);
-  EXPECT_GT(first.total_cost_pages, 0.0);
-  EXPECT_GE(options.cache->size(), Targets().size());
+  const SizeEstimator::BatchResult cold = estimator.EstimateAll(Targets());
+  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_GT(cold.total_cost_pages, 0.0);
+  EXPECT_GT(cold.num_sampled, 0u);
+  // One entry per SampleCF leaf; deduced values are never cached.
+  EXPECT_EQ(cache->size(), cold.num_sampled);
+  const size_t entries = cache->size();
 
-  const SizeEstimator::BatchResult second = estimator.EstimateAll(Targets());
-  EXPECT_EQ(second.cache_hits, Targets().size());
-  EXPECT_EQ(second.num_sampled, 0u);
-  EXPECT_DOUBLE_EQ(second.total_cost_pages, 0.0);
-  // Fully cache-served batches pick no fraction; consumers (the advisor's
-  // bookkeeping) treat 0 as "keep the previous round's f".
-  EXPECT_DOUBLE_EQ(second.chosen_f, 0.0);
-  ASSERT_EQ(second.estimates.size(), first.estimates.size());
-  for (const auto& [sig, r] : first.estimates) {
-    ASSERT_TRUE(second.estimates.count(sig));
-    EXPECT_DOUBLE_EQ(second.estimates.at(sig).est_bytes, r.est_bytes) << sig;
-  }
+  // The warm batch serves every leaf from the cache and still plans, picks
+  // the fraction and charges cost exactly as the cold one did.
+  const SizeEstimator::BatchResult warm = estimator.EstimateAll(Targets());
+  ExpectBitIdentical(cold, warm);
+  EXPECT_EQ(warm.cache_hits, cold.num_sampled);
+  EXPECT_EQ(cache->size(), entries);
 }
 
 TEST_F(ParallelEstimationTest, CachePartialHitEstimatesOnlyFreshTargets) {
+  auto cache = std::make_shared<EstimationCache>();
   SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
+  options.cache = cache;
 
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
   SizeEstimator estimator(db_, &source, ErrorModel(), options);
 
-  const std::vector<IndexDef> warm = {Idx({"l_shipdate"}), Idx({"l_shipmode"})};
+  // Leaves priced by a smaller batch, possibly at another fraction, must
+  // not steer the full batch's fraction search.
+  const std::vector<IndexDef> warm = {Idx({"l_shipdate"}),
+                                      Idx({"l_shipmode"})};
   estimator.EstimateAll(warm);
+  const size_t warm_entries = cache->size();
+  EXPECT_GT(warm_entries, 0u);
 
   const SizeEstimator::BatchResult batch = estimator.EstimateAll(Targets());
-  EXPECT_EQ(batch.cache_hits, warm.size());
-  EXPECT_EQ(batch.estimates.size(), Targets().size());
-  for (const IndexDef& t : Targets()) {
-    EXPECT_TRUE(batch.estimates.count(t.Signature())) << t.ToString();
-  }
+  const SizeEstimator::BatchResult uncached = RunBatch(SizeEstimationOptions());
+  ExpectBitIdentical(uncached, batch);
+  EXPECT_LE(batch.cache_hits, warm_entries);
+  // Only the leaves the cache could not serve were built and inserted.
+  EXPECT_EQ(cache->size(),
+            warm_entries + batch.num_sampled - batch.cache_hits);
 }
 
 TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
@@ -161,14 +170,18 @@ TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
 
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
+  SizeEstimator::BatchResult cold;
   {
     SizeEstimator first(db_, &source, ErrorModel(), options);
-    first.EstimateAll(Targets());
+    cold = first.EstimateAll(Targets());
   }
+  const size_t entries = cache->size();
   SizeEstimator second(db_, &source, ErrorModel(), options);
-  const SizeEstimator::BatchResult r = second.EstimateAll(Targets());
-  EXPECT_EQ(r.cache_hits, Targets().size());
-  EXPECT_GT(cache->hits(), 0u);
+  const SizeEstimator::BatchResult warm = second.EstimateAll(Targets());
+  ExpectBitIdentical(cold, warm);
+  EXPECT_EQ(warm.cache_hits, cold.num_sampled);
+  EXPECT_EQ(cache->hits(), cold.num_sampled);
+  EXPECT_EQ(cache->size(), entries);
 }
 
 TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
@@ -212,10 +225,9 @@ TEST(EstimationCacheTest, ShrinkingCapacityEvictsImmediately) {
 
 TEST_F(ParallelEstimationTest, CacheCapacityOptionBoundsTheCache) {
   SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
   // A bound too small for even one entry: every insert is evicted again,
   // so the cache never grows — the extreme case of the memory bound.
-  options.cache_capacity_bytes = 1;
+  options.cache = std::make_shared<EstimationCache>(1);
 
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
@@ -226,21 +238,6 @@ TEST_F(ParallelEstimationTest, CacheCapacityOptionBoundsTheCache) {
   EXPECT_EQ(batch.estimates.size(), Targets().size());
   EXPECT_EQ(options.cache->size(), 0u);
   EXPECT_GT(options.cache->evictions(), 0u);
-}
-
-TEST(EstimationCacheTest, LookupBestPrefersLargestFraction) {
-  EstimationCache cache;
-  SampleCfResult coarse;
-  coarse.est_bytes = 100.0;
-  SampleCfResult fine;
-  fine.est_bytes = 120.0;
-  cache.Insert("idx", 0.01, coarse);
-  cache.Insert("idx", 0.10, fine);
-  const auto best = cache.LookupBest("idx", {0.01, 0.025, 0.05, 0.10});
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(best->est_bytes, 120.0);
-  EXPECT_FALSE(cache.Lookup("idx", 0.05).has_value());
-  EXPECT_FALSE(cache.LookupBest("other", {0.01}).has_value());
 }
 
 }  // namespace
