@@ -131,7 +131,8 @@ void Run(BenchContext& ctx) {
     ctx.report.AddCounter("compressed_bytes" + key, blob.size());
     ctx.report.AddCounter("measure_bytes" + key, codec->MeasurePage(flat));
     // Deterministic allocation counters for the size-only path: these gate
-    // exactly in CI (zero for every codec except PAGE's dictionary plan).
+    // exactly in CI (zero for every codec except PAGE, whose column plan
+    // takes one sort buffer per page).
     ctx.report.AddCounter("page_allocs" + key + "[path=measure]",
                           measure_allocs);
     ctx.report.AddValue("allocs_per_row" + key + "[path=measure]",

@@ -105,6 +105,7 @@ void Run(BenchContext& ctx) {
     AdvisorOptions options = base;
     const std::unique_ptr<ThreadPool> pool = MakeBenchPool(threads);
     options.pool = pool.get();
+    options.size_options.pool = pool.get();  // stage-2 re-estimation
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
                             options.size_options);
     Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);

@@ -29,7 +29,11 @@ class ZipfGenerator {
 
   ZipfGenerator(uint64_t n, double theta);
 
-  uint64_t Next(Random* rng) const;
+  uint64_t Next(Random* rng) const { return Rank(rng->NextDouble()); }
+
+  // The rank Next() returns for the uniform draw `u` in [0, 1). Lets a
+  // generator consume a row's draw now and map it only if the row is kept.
+  uint64_t Rank(double u) const;
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }

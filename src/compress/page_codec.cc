@@ -1,7 +1,7 @@
 #include "compress/page_codec.h"
 
+#include <algorithm>
 #include <cstring>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -12,49 +12,94 @@
 namespace capd {
 namespace {
 
-// Longest common prefix (in bytes) of a column's values within the span.
-size_t CommonPrefixLen(const FlatSpan& span, size_t col) {
-  const size_t n = span.num_rows();
-  if (n == 0) return 0;
-  const FieldView anchor = span.field(0, col);
-  size_t len = anchor.size();
-  for (size_t i = 1; i < n && len > 0; ++i) {
-    const FieldView v = span.field(i, col);
-    size_t k = 0;
-    while (k < len && v[k] == anchor[k]) ++k;
-    len = k;
+// One cell of a column being planned: its span-local row and its first
+// (up to) eight bytes as a big-endian integer, so that most comparisons
+// are a single integer compare and integer order is unsigned bytewise
+// order, as string_view compares.
+struct SortedCell {
+  uint64_t head;
+  uint32_t row;
+};
+
+uint64_t BigEndianHead(const char* p, size_t width) {
+  uint64_t head = 0;
+  if (width >= 8) {
+    std::memcpy(&head, p, 8);
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    head = __builtin_bswap64(head);
+#endif
+    return head;
   }
-  return len;
+  for (size_t k = 0; k < width; ++k) {
+    head = (head << 8) | static_cast<unsigned char>(p[k]);
+  }
+  return head;
 }
 
 // Per-column compression plan, shared between CompressPage and MeasurePage
-// so the two can never disagree on a byte. Keys are views into the span's
-// arena: counting, id assignment and per-cell probing all run on interned
-// slices without copying a field.
-struct ColumnPlan {
-  size_t anchor_len = 0;
-  // remainder -> dictionary id + 1 for repeated values, 0 for literals.
-  // std::map gives deterministic (lexicographic) entry order.
-  std::map<FieldView, uint32_t> code;
-  std::vector<FieldView> dict;  // dictionary entries in id order
-
-  ColumnPlan(const FlatSpan& span, size_t col) {
-    anchor_len = CommonPrefixLen(span, col);
+// so the two can never disagree on a byte. The column's cells are sorted
+// (into caller-owned scratch, reused across columns) instead of counted
+// in a map: runs of equal values are then adjacent, in the lexicographic
+// order that assigns dictionary ids.
+class ColumnPlan {
+ public:
+  ColumnPlan(const FlatSpan& span, size_t col, std::vector<SortedCell>* cells)
+      : data_(span.column_data(col)), width_(span.width(col)), cells_(cells) {
     const size_t n = span.num_rows();
+    cells->resize(n);
     for (size_t i = 0; i < n; ++i) {
-      ++code[span.field(i, col).substr(anchor_len)];  // count occurrences
+      (*cells)[i] = {BigEndianHead(cell(i), width_), static_cast<uint32_t>(i)};
     }
-    // Values occurring >= 2 times go to the local dictionary; the rest are
-    // stored literally (code 0).
-    for (auto& [rem, entry] : code) {
-      if (entry >= 2) {
-        dict.push_back(rem);
-        entry = static_cast<uint32_t>(dict.size());  // id + 1
-      } else {
-        entry = 0;
+    std::sort(cells->begin(), cells->end(),
+              [this](const SortedCell& a, const SortedCell& b) {
+                if (a.head != b.head) return a.head < b.head;
+                return width_ > 8 && TailCompare(a, b) < 0;
+              });
+    // The longest prefix every value shares is the one the sorted
+    // extremes share.
+    if (n > 0) {
+      const char* first = cell(cells->front().row);
+      const char* last = cell(cells->back().row);
+      while (anchor_len_ < width_ && first[anchor_len_] == last[anchor_len_]) {
+        ++anchor_len_;
       }
     }
   }
+
+  size_t anchor_len() const { return anchor_len_; }
+
+  // Calls fn(rem, run, count) once per distinct value, in lexicographic
+  // order: `rem` is its post-anchor remainder and run[0, count) are its
+  // cells. A value with count >= 2 is the next dictionary entry; a
+  // singleton is stored literally (code 0).
+  template <typename Fn>
+  void ForEachRun(Fn fn) const {
+    const std::vector<SortedCell>& cells = *cells_;
+    size_t i = 0;
+    while (i < cells.size()) {
+      size_t j = i + 1;
+      while (j < cells.size() && cells[j].head == cells[i].head &&
+             (width_ <= 8 || TailCompare(cells[i], cells[j]) == 0)) {
+        ++j;
+      }
+      fn(FieldView(cell(cells[i].row) + anchor_len_, width_ - anchor_len_),
+         &cells[i], j - i);
+      i = j;
+    }
+  }
+
+ private:
+  const char* cell(size_t row) const { return data_ + row * width_; }
+
+  // Compares the bytes past the eight-byte heads (widths > 8 only).
+  int TailCompare(const SortedCell& a, const SortedCell& b) const {
+    return std::memcmp(cell(a.row) + 8, cell(b.row) + 8, width_ - 8);
+  }
+
+  const char* data_;
+  size_t width_;
+  const std::vector<SortedCell>* cells_;
+  size_t anchor_len_ = 0;
 };
 
 }  // namespace
@@ -71,19 +116,31 @@ std::string PageCodec::CompressPage(const FlatSpan& span) const {
   std::string blob;
   const size_t n = span.num_rows();
   PutVarint(n, &blob);
+  std::vector<SortedCell> cells;
+  std::vector<FieldView> dict;    // dictionary entries in id order
+  std::vector<uint32_t> codes(n);  // per row: dictionary id + 1, or 0
   for (size_t c = 0; c < num_columns(); ++c) {
-    const ColumnPlan plan(span, c);
-    PutVarint(plan.anchor_len, &blob);
-    if (n > 0) blob.append(span.field(0, c).data(), plan.anchor_len);
+    const ColumnPlan plan(span, c, &cells);
+    dict.clear();
+    plan.ForEachRun([&](FieldView rem, const SortedCell* run, size_t count) {
+      uint32_t code = 0;
+      if (count >= 2) {
+        dict.push_back(rem);
+        code = static_cast<uint32_t>(dict.size());
+      }
+      for (size_t k = 0; k < count; ++k) codes[run[k].row] = code;
+    });
+    PutVarint(plan.anchor_len(), &blob);
+    if (n > 0) blob.append(span.field(0, c).data(), plan.anchor_len());
 
-    PutVarint(plan.dict.size(), &blob);
-    for (const FieldView rem : plan.dict) NsCompressField(rem, &blob);
+    PutVarint(dict.size(), &blob);
+    for (const FieldView rem : dict) NsCompressField(rem, &blob);
 
     for (size_t i = 0; i < n; ++i) {
-      const FieldView rem = span.field(i, c).substr(plan.anchor_len);
-      const uint32_t code = plan.code.find(rem)->second;
-      PutVarint(code, &blob);
-      if (code == 0) NsCompressField(rem, &blob);
+      PutVarint(codes[i], &blob);
+      if (codes[i] == 0) {
+        NsCompressField(span.field(i, c).substr(plan.anchor_len()), &blob);
+      }
     }
   }
   return blob;
@@ -93,18 +150,23 @@ uint64_t PageCodec::MeasurePage(const FlatSpan& span) const {
   ValidateSpan(span);
   const size_t n = span.num_rows();
   uint64_t total = VarintSize(n);
+  std::vector<SortedCell> cells;  // the one scratch allocation
+  cells.reserve(n);
   for (size_t c = 0; c < num_columns(); ++c) {
-    const ColumnPlan plan(span, c);
-    total += VarintSize(plan.anchor_len) + plan.anchor_len;
-    total += VarintSize(plan.dict.size());
-    for (const FieldView rem : plan.dict) total += NsFieldSize(rem);
-
-    for (size_t i = 0; i < n; ++i) {
-      const FieldView rem = span.field(i, c).substr(plan.anchor_len);
-      const uint32_t code = plan.code.find(rem)->second;
-      total += VarintSize(code);
-      if (code == 0) total += NsFieldSize(rem);
-    }
+    const ColumnPlan plan(span, c, &cells);
+    uint64_t dict_count = 0;
+    uint64_t bytes = 0;  // dictionary entries plus cells
+    plan.ForEachRun([&](FieldView rem, const SortedCell*, size_t count) {
+      const uint64_t ns = NsFieldSize(rem);
+      if (count == 1) {
+        bytes += VarintSize(0) + ns;
+      } else {
+        ++dict_count;
+        bytes += ns + count * VarintSize(dict_count);
+      }
+    });
+    total += VarintSize(plan.anchor_len()) + plan.anchor_len() +
+             VarintSize(dict_count) + bytes;
   }
   return total;
 }

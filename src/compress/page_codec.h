@@ -4,8 +4,9 @@
 // (3) null-suppresses whatever is stored literally. Order dependent: how
 // many duplicates land in the same page depends on tuple order, which is
 // exactly the fragmentation effect the paper's ORD-DEP deduction models.
-// The dictionary is probed with interned slices (string_views into the flat
-// arena) — neither counting nor sizing copies a single field.
+// Each column is planned by sorting its cells (views into the flat arena)
+// so equal values form adjacent runs: neither counting nor sizing copies a
+// field or builds a map.
 #ifndef CAPD_COMPRESS_PAGE_CODEC_H_
 #define CAPD_COMPRESS_PAGE_CODEC_H_
 

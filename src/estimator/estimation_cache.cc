@@ -62,17 +62,6 @@ void EstimationCache::Insert(const std::string& signature, double f,
   EvictOverCapacityLocked();
 }
 
-void EstimationCache::set_capacity_bytes(size_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_bytes_ = capacity_bytes;
-  EvictOverCapacityLocked();
-}
-
-size_t EstimationCache::capacity_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_bytes_;
-}
-
 size_t EstimationCache::charged_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;

@@ -36,9 +36,7 @@ class EstimationCache {
 
   void Insert(const std::string& signature, double f, const SampleCfResult& r);
 
-  // Changing the capacity evicts immediately if the cache is over it.
-  void set_capacity_bytes(size_t capacity_bytes);
-  size_t capacity_bytes() const;
+  size_t capacity_bytes() const { return capacity_bytes_; }
   // Approximate bytes currently held (keys + results + container overhead).
   size_t charged_bytes() const;
 
@@ -66,7 +64,7 @@ class EstimationCache {
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
-  size_t capacity_bytes_ = 0;
+  const size_t capacity_bytes_;
   size_t bytes_ = 0;
   // Front = most recently used. Mutable: lookups refresh recency.
   mutable std::list<std::string> lru_;

@@ -52,8 +52,33 @@ class ColumnBlock {
   std::vector<std::vector<Value>> cols_;  // cols_[column][row]
 };
 
+// The rows of one block that a FillBlock call appends: every row, or only
+// those in an ascending slice [begin, end) of global row indices (a
+// repeated index still appends its row once).
+class RowPicks {
+ public:
+  // Every row.
+  RowPicks() = default;
+  RowPicks(const uint64_t* begin, const uint64_t* end)
+      : next_(begin), end_(end), all_(false) {}
+
+  // Whether global row `row` is appended. A source asks once per row of
+  // the block, in ascending order.
+  bool Take(uint64_t row) {
+    if (all_) return true;
+    if (next_ == end_ || *next_ != row) return false;
+    while (next_ != end_ && *next_ == row) ++next_;
+    return true;
+  }
+
+ private:
+  const uint64_t* next_ = nullptr;
+  const uint64_t* end_ = nullptr;
+  bool all_ = true;
+};
+
 // Generates the rows of one block. Implementations MUST be deterministic
-// per block — FillBlock(b, ...) always appends the identical rows for a
+// per block — FillBlock(b, ...) always produces the identical rows for a
 // given source, typically by seeding a fresh Random with
 // BlockSeed(table_seed, b) — and thread-safe for concurrent FillBlock
 // calls on distinct blocks (parallel materialization fans blocks across a
@@ -62,10 +87,13 @@ class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  // Appends exactly `count` rows (global indices [first_row,
-  // first_row+count)) to *out, which has been Reset(first_row).
+  // Generates the `count` rows with global indices [first_row,
+  // first_row+count) and appends, in order, those that `picks` takes to
+  // *out, which has been Reset(first_row). A row's bytes must not depend
+  // on which rows are picked: draw every row, build only the picked ones.
   virtual void FillBlock(uint64_t block_index, uint64_t first_row,
-                         uint64_t count, ColumnBlock* out) const = 0;
+                         uint64_t count, RowPicks picks,
+                         ColumnBlock* out) const = 0;
 };
 
 // splitmix64 mix of (seed, block): decorrelates per-block RNG streams so

@@ -44,7 +44,7 @@ void Table::ScanRows(
     const uint64_t first = b * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
     block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
+    source_->FillBlock(b, first, count, RowPicks(), &block);
     CAPD_CHECK_EQ(block.num_rows(), count)
         << "table " << name_ << " block " << b;
     for (uint64_t r = 0; r < count; ++r) {
@@ -66,27 +66,34 @@ std::vector<Row> Table::CollectRows(
     return out;
   }
   const uint64_t n = num_rows();
+  const uint64_t* const picks = sorted_indices.data();
   ColumnBlock block(schema_);
-  Row scratch;
   size_t i = 0;
   while (i < sorted_indices.size()) {
-    const uint64_t idx = sorted_indices[i];
-    CAPD_CHECK_LT(idx, n) << "table " << name_;
-    const uint64_t b = idx / block_rows_;
+    CAPD_CHECK_LT(picks[i], n) << "table " << name_;
+    const uint64_t b = picks[i] / block_rows_;
     const uint64_t first = b * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
-        << "table " << name_ << " block " << b;
-    // Drain every requested index that falls inside this block.
-    for (; i < sorted_indices.size(); ++i) {
-      const uint64_t next = sorted_indices[i];
-      CAPD_CHECK_GE(next, idx) << "indices must be sorted ascending";
-      if (next >= first + count) break;
-      block.RowAt(next - first, &scratch);
-      out.push_back(scratch);
+    // This block's slice of the picks is [i, end).
+    size_t end = i + 1;
+    uint64_t distinct = 1;
+    for (; end < sorted_indices.size() && picks[end] < first + count; ++end) {
+      CAPD_CHECK_GE(picks[end], picks[end - 1])
+          << "indices must be sorted ascending";
+      if (picks[end] != picks[end - 1]) ++distinct;
     }
+    block.Reset(first);
+    source_->FillBlock(b, first, count, RowPicks(picks + i, picks + end),
+                       &block);
+    CAPD_CHECK_EQ(block.num_rows(), distinct)
+        << "table " << name_ << " block " << b;
+    uint64_t r = 0;  // block row of picks[k]; a repeated pick reuses it
+    for (size_t k = i; k < end; ++k) {
+      if (k > i && picks[k] != picks[k - 1]) ++r;
+      out.emplace_back();
+      block.RowAt(r, &out.back());
+    }
+    i = end;
   }
   return out;
 }
@@ -109,7 +116,7 @@ std::unique_ptr<Table> Table::Materialize(ThreadPool* pool) const {
     const uint64_t count = std::min(block_rows_, n - first);
     ColumnBlock block(schema_);
     block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
+    source_->FillBlock(b, first, count, RowPicks(), &block);
     CAPD_CHECK_EQ(block.num_rows(), count)
         << "table " << name_ << " block " << b;
     std::vector<Row>& rows = per_block[b];

@@ -67,9 +67,10 @@ class Table {
   // the duration of the call.
   void ScanRows(const std::function<void(uint64_t, const Row&)>& fn) const;
 
-  // Copies the rows at `sorted_indices` (ascending, in [0, num_rows())),
-  // generating only the blocks that contain a requested index. This is the
-  // streaming half of sample extraction: O(|indices| + block) memory.
+  // Copies the rows at `sorted_indices` (ascending, in [0, num_rows())).
+  // A generated table runs only the blocks that contain a requested index
+  // and builds only the requested rows of each. This is the streaming half
+  // of sample extraction: O(|indices| + block) memory.
   std::vector<Row> CollectRows(
       const std::vector<uint64_t>& sorted_indices) const;
 

@@ -105,7 +105,7 @@ TEST_P(GoldenReportTest, ReportMatchesGoldenByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllStrategiesAllWorkloads, GoldenReportTest,
-    ::testing::Combine(::testing::Values("tpch", "sales", "tpcds"),
+    ::testing::Combine(::testing::Values("tpch", "sales", "tpcds", "scale"),
                        ::testing::Values("dtac_topk", "dtac_skyline",
                                          "staged")),
     [](const ::testing::TestParamInfo<GoldenReportTest::ParamType>& info) {

@@ -185,12 +185,16 @@ TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
 }
 
 TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
-  EstimationCache cache;
   SampleCfResult r;
   r.est_bytes = 1.0;
+  size_t per_entry = 0;  // same-length keys below
+  {
+    EstimationCache probe;
+    probe.Insert("a", 0.01, r);
+    per_entry = probe.charged_bytes();
+  }
+  EstimationCache cache(3 * per_entry);
   cache.Insert("a", 0.01, r);
-  const size_t per_entry = cache.charged_bytes();  // same-length keys below
-  cache.set_capacity_bytes(3 * per_entry);
   cache.Insert("b", 0.01, r);
   cache.Insert("c", 0.01, r);
   EXPECT_EQ(cache.size(), 3u);
@@ -205,22 +209,6 @@ TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup("a", 0.01).has_value());
   EXPECT_TRUE(cache.Lookup("c", 0.01).has_value());
   EXPECT_TRUE(cache.Lookup("d", 0.01).has_value());
-}
-
-TEST(EstimationCacheTest, ShrinkingCapacityEvictsImmediately) {
-  EstimationCache cache;  // unbounded by default
-  SampleCfResult r;
-  for (int i = 0; i < 8; ++i) {
-    cache.Insert("idx" + std::to_string(i), 0.01, r);
-  }
-  EXPECT_EQ(cache.size(), 8u);
-  const size_t bytes_for_two = cache.charged_bytes() / 4;
-  cache.set_capacity_bytes(bytes_for_two);
-  EXPECT_LE(cache.size(), 2u);
-  EXPECT_LE(cache.charged_bytes(), bytes_for_two);
-  EXPECT_GE(cache.evictions(), 6u);
-  // The survivors are the most recently inserted.
-  EXPECT_TRUE(cache.Lookup("idx7", 0.01).has_value());
 }
 
 TEST_F(ParallelEstimationTest, CacheCapacityOptionBoundsTheCache) {

@@ -62,11 +62,13 @@ class PairSource : public BlockSource {
   explicit PairSource(uint64_t seed) : seed_(seed) {}
 
   void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
-                 ColumnBlock* out) const override {
+                 RowPicks picks, ColumnBlock* out) const override {
     Random rng(BlockSeed(seed_, block_index));
     for (uint64_t r = 0; r < count; ++r) {
-      out->AppendRow({Value::Int64(static_cast<int64_t>(first_row + r)),
-                      Value::Int64(rng.Uniform(0, 1000))});
+      const int64_t v = rng.Uniform(0, 1000);
+      if (!picks.Take(first_row + r)) continue;
+      out->AppendRow(
+          {Value::Int64(static_cast<int64_t>(first_row + r)), Value::Int64(v)});
     }
   }
 
@@ -138,16 +140,26 @@ TEST(GeneratedTableTest, CollectRowsMatchesDirectIndexing) {
   const uint64_t n = 2 * kDefaultBlockRows + 100;
   Table gen("t", PairSchema(), n, std::make_shared<PairSource>(77));
   const std::unique_ptr<Table> mat = gen.Materialize();
-  const std::vector<uint64_t> picks = {0,
-                                       1,
-                                       kDefaultBlockRows - 1,
-                                       kDefaultBlockRows,
-                                       2 * kDefaultBlockRows + 99,
-                                       n - 1};
-  const std::vector<Row> got = gen.CollectRows(picks);
-  ASSERT_EQ(got.size(), picks.size());
-  for (size_t i = 0; i < picks.size(); ++i) {
-    EXPECT_EQ(RowString(got[i]), RowString(mat->rows()[picks[i]]));
+  std::vector<uint64_t> whole_block;  // every row of block 1
+  for (uint64_t i = kDefaultBlockRows; i < 2 * kDefaultBlockRows; ++i) {
+    whole_block.push_back(i);
+  }
+  const std::vector<std::vector<uint64_t>> pick_lists = {
+      {0, 1, kDefaultBlockRows - 1, kDefaultBlockRows,
+       2 * kDefaultBlockRows + 99, n - 1},
+      {},
+      whole_block,
+      // Only the last, partial block.
+      {2 * kDefaultBlockRows, 2 * kDefaultBlockRows + 1,
+       2 * kDefaultBlockRows + 50, n - 1},
+  };
+  for (const std::vector<uint64_t>& picks : pick_lists) {
+    const std::vector<Row> got = gen.CollectRows(picks);
+    ASSERT_EQ(got.size(), picks.size());
+    for (size_t i = 0; i < picks.size(); ++i) {
+      EXPECT_EQ(RowString(got[i]), RowString(mat->rows()[picks[i]]))
+          << "pick " << picks[i];
+    }
   }
 }
 
